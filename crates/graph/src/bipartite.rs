@@ -203,26 +203,40 @@ impl BipartiteGraph {
     /// together with the original indices of the retained left and right
     /// vertices (in that order).
     pub fn restrict_left(&self, keep: &VertexSet) -> (BipartiteGraph, Vec<Vertex>, Vec<Vertex>) {
-        let left_vertices: Vec<Vertex> = keep.to_vec();
-        let mut right_used = VertexSet::empty(self.num_right());
-        for &u in &left_vertices {
+        let mut reached = vec![false; self.num_right()];
+        for u in keep.iter() {
             for &w in self.left_neighbors(u) {
-                right_used.insert(w);
+                reached[w] = true;
             }
         }
-        let right_vertices: Vec<Vertex> = right_used.to_vec();
-        let mut right_index = vec![usize::MAX; self.num_right()];
-        for (i, &w) in right_vertices.iter().enumerate() {
-            right_index[w] = i;
+        let right = VertexSet::from_sorted(
+            self.num_right(),
+            (0..self.num_right()).filter(|&w| reached[w]).collect(),
+        );
+        (self.induced(keep, &right), keep.to_vec(), right.to_vec())
+    }
+
+    /// The bipartite graph induced by the left vertices in `left` and the
+    /// right vertices in `right`, both renumbered in increasing order: the
+    /// `i`-th smallest member of `left` becomes left vertex `i`, and likewise
+    /// on the right. Both sets must be over this graph's sides. Renumbering
+    /// preserves order, so the sorted adjacency slices are filtered and
+    /// relabelled directly, with no builder and no range checks to fail.
+    pub fn induced(&self, left: &VertexSet, right: &VertexSet) -> BipartiteGraph {
+        let left_rank = rank_of_members(self.num_left(), left);
+        let right_rank = rank_of_members(self.num_right(), right);
+        let (left_offsets, left_neighbors) =
+            relabelled_csr(left, |u| self.left_neighbors(u), &right_rank);
+        let (right_offsets, right_neighbors) =
+            relabelled_csr(right, |w| self.right_neighbors(w), &left_rank);
+        let num_edges = left_neighbors.len();
+        BipartiteGraph {
+            left_offsets,
+            left_neighbors,
+            right_offsets,
+            right_neighbors,
+            num_edges,
         }
-        let mut b = BipartiteBuilder::new(left_vertices.len(), right_vertices.len());
-        for (i, &u) in left_vertices.iter().enumerate() {
-            for &w in self.left_neighbors(u) {
-                b.add_edge(i, right_index[w])
-                    .expect("restricted edge in range");
-            }
-        }
-        (b.build(), left_vertices, right_vertices)
     }
 
     /// Flattens the bipartite graph into a plain [`Graph`] on
@@ -270,6 +284,39 @@ impl BipartiteGraph {
         }
         (b.build(), left_vertices, right_vertices)
     }
+}
+
+/// `rank[v]` is the position of `v` among the members of `set`, or
+/// `usize::MAX` for a non-member.
+fn rank_of_members(universe: usize, set: &VertexSet) -> Vec<usize> {
+    let mut rank = vec![usize::MAX; universe];
+    for (i, v) in set.iter().enumerate() {
+        rank[v] = i;
+    }
+    rank
+}
+
+/// One side of [`BipartiteGraph::induced`]: for each member of `side` (in
+/// order), its neighbors that have a rank on the other side, relabelled by
+/// that rank.
+fn relabelled_csr<'a>(
+    side: &VertexSet,
+    neighbors: impl Fn(Vertex) -> &'a [Vertex],
+    other_rank: &[usize],
+) -> (Vec<usize>, Vec<Vertex>) {
+    let mut offsets = Vec::with_capacity(side.len() + 1);
+    let mut adjacency = Vec::new();
+    offsets.push(0);
+    for v in side.iter() {
+        adjacency.extend(
+            neighbors(v)
+                .iter()
+                .map(|&x| other_rank[x])
+                .filter(|&r| r != usize::MAX),
+        );
+        offsets.push(adjacency.len());
+    }
+    (offsets, adjacency)
 }
 
 /// Incremental builder for [`BipartiteGraph`]; collapses duplicate edges.
@@ -460,6 +507,33 @@ mod tests {
         assert_eq!(r.num_right(), 2);
         assert_eq!(r.num_edges(), 2);
         assert!(r.has_edge(0, 0) && r.has_edge(0, 1));
+    }
+
+    #[test]
+    fn induced_matches_a_builder_rebuild() {
+        use rand::Rng;
+        let mut rng = crate::random::rng_from_seed(5);
+        let edges: Vec<(usize, usize)> = (0..60)
+            .map(|_| (rng.gen_range(0..9), rng.gen_range(0..13)))
+            .collect();
+        let g = BipartiteGraph::from_edges(9, 13, edges).unwrap();
+        let left = VertexSet::from_iter(9, [0, 2, 3, 7, 8]);
+        let right = VertexSet::from_iter(13, [1, 4, 5, 6, 11, 12]);
+        let (l, r) = (left.to_vec(), right.to_vec());
+        let rebuilt = BipartiteGraph::from_edges(
+            l.len(),
+            r.len(),
+            g.edges()
+                .filter(|&(u, w)| left.contains(u) && right.contains(w))
+                .map(|(u, w)| (l.binary_search(&u).unwrap(), r.binary_search(&w).unwrap())),
+        )
+        .unwrap();
+        assert_eq!(g.induced(&left, &right), rebuilt);
+        let none = g.induced(&VertexSet::empty(9), &right);
+        assert_eq!(
+            (none.num_left(), none.num_right(), none.num_edges()),
+            (0, 6, 0)
+        );
     }
 
     #[test]

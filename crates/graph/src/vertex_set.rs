@@ -120,6 +120,12 @@ impl VertexSet {
 
     /// Inserts a vertex. Returns `true` if it was newly inserted.
     ///
+    /// Costs O(|S|): the member `Vec` is kept sorted, so a new member is
+    /// shifted into place (appending the new maximum is the cheap case).
+    /// Hot loops that move many vertices in and out of sets should keep a
+    /// per-vertex state array instead and build the final sets once with
+    /// [`VertexSet::from_sorted`].
+    ///
     /// # Panics
     /// Panics if `v >= universe`.
     pub fn insert(&mut self, v: usize) -> bool {
@@ -139,6 +145,9 @@ impl VertexSet {
     }
 
     /// Removes a vertex. Returns `true` if it was present.
+    ///
+    /// Costs O(|S|) for the same reason as [`VertexSet::insert`]: the
+    /// sorted member `Vec` closes the gap.
     pub fn remove(&mut self, v: usize) -> bool {
         if !self.contains(v) {
             return false;

@@ -100,3 +100,48 @@ fn bundled_smoke_scenario_runs_and_validates() {
     assert!(value.as_map().is_some());
     assert!(report.metrics.contains_key("value"));
 }
+
+/// The committed `wx spokesman` reports under `tests/golden/` pin the
+/// solvers' picks: any change to a solver that alters a single pick, a
+/// coverage or a work counter changes these bytes. The CI workflow checks
+/// the same files through the `wx` binary.
+#[test]
+fn spokesman_reports_match_the_golden_files() {
+    for (source, set_size, seed, file) in [
+        (
+            r#"{"RandomRegular": {"n": 5000, "d": 8}}"#,
+            2500,
+            7,
+            "spokesman_rr5000_d8_s2500_seed7.json",
+        ),
+        (
+            r#"{"Margulis": {"m": 60}}"#,
+            1000,
+            11,
+            "spokesman_margulis60_s1000_seed11.json",
+        ),
+    ] {
+        // the spec `wx spokesman --source S --set-size N --seed K` assembles
+        let spec = ScenarioSpec::from_json(
+            &format!(
+                r#"{{
+                    "name": "adhoc-spokesman",
+                    "description": "ad-hoc `wx spokesman` invocation",
+                    "source": {source},
+                    "task": {{"Spokesman": {{"set_size": {set_size}}}}},
+                    "trials": 1,
+                    "seed": {seed}
+                }}"#
+            ),
+            "golden test",
+        )
+        .unwrap();
+        let path = format!("{}/../../tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
+        let golden = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(
+            Runner::new().run(&spec).unwrap().to_json(),
+            golden,
+            "{file}"
+        );
+    }
+}

@@ -24,10 +24,12 @@
 //!   deterministic bound `|Γ¹_S(S')| ≥ |N|/(9·log 2δ_N)`.
 
 use crate::solver::{SolverKind, SpokesmanResult, SpokesmanSolver};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use wx_graph::{BipartiteGraph, VertexSet};
 
 /// The outcome of one run of Procedure Partition.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PartitionOutcome {
     /// Left vertices promoted to the spokesman set.
     pub s_uni: VertexSet,
@@ -140,68 +142,112 @@ impl PartitionOutcome {
     }
 }
 
+/// Right-vertex states of Procedure Partition. A right vertex outside the
+/// candidate set never counts towards a gain; a candidate moves at most
+/// twice, `TMP → UNI → MANY`.
+const OUTSIDE: u8 = 0;
+const TMP: u8 = 1;
+const UNI: u8 = 2;
+const MANY: u8 = 3;
+
 /// Runs Procedure Partition on the bipartite graph `g`, considering only the
 /// right vertices in `candidates` (Lemma A.3 and A.13 both run the procedure
-/// on a degree-restricted subset of `N`). Left side is all of `0..num_left`.
+/// on a degree-restricted subset of `N`); `candidates` is a set over the
+/// right side. Left side is all of `0..num_left`.
+///
+/// Each step promotes the `v ∈ S_tmp` of highest
+/// `gain(v) = |N_tmp(v)| − 2·|N_uni(v)|`, lowest index on ties, while that
+/// gain is positive. Gains are kept current incrementally: a right vertex
+/// moving `TMP → UNI` shifts the gain of each of its `S_tmp` neighbors by
+/// −3, and `UNI → MANY` by +2. Every right vertex moves at most twice, so a
+/// run makes at most `2·|E|` gain updates, each costing one push onto a
+/// max-queue keyed on `(gain, lowest index)`: `O((|S| + |E|)·log|S|)` in all.
 pub fn procedure_partition(g: &BipartiteGraph, candidates: &VertexSet) -> PartitionOutcome {
+    let _span = wx_trace::span("spokesman.partition");
     let num_left = g.num_left();
     let num_right = g.num_right();
 
-    let mut s_tmp = VertexSet::full(num_left);
-    let mut s_uni = VertexSet::empty(num_left);
-    let mut n_tmp = candidates.clone();
-    let mut n_uni = VertexSet::empty(num_right);
-    let mut n_many = VertexSet::empty(num_right);
+    let mut state = vec![OUTSIDE; num_right];
+    for w in candidates.iter() {
+        state[w] = TMP;
+    }
+    let mut gain: Vec<i64> = (0..num_left)
+        .map(|u| {
+            g.left_neighbors(u)
+                .iter()
+                .filter(|&&w| state[w] == TMP)
+                .count() as i64
+        })
+        .collect();
+    let mut promoted = vec![false; num_left];
+    // The queue holds exactly one live entry `(gain, Reverse(u), stamp[u])`
+    // for each u ∈ S_tmp of positive gain; bumping `stamp[u]` retires the
+    // previous entry, which is then skipped when popped.
+    let mut stamp = vec![0usize; num_left];
+    let mut queue: BinaryHeap<(i64, Reverse<usize>, usize)> = gain
+        .iter()
+        .enumerate()
+        .filter(|&(_, &gu)| gu > 0)
+        .map(|(u, &gu)| (gu, Reverse(u), 0))
+        .collect();
+    let mut s_tmp_len = num_left;
 
-    loop {
-        if s_tmp.is_empty() {
-            break;
+    while let Some((_, Reverse(v), v_stamp)) = queue.pop() {
+        if stamp[v] != v_stamp {
+            continue;
         }
-        // Pick v ∈ S_tmp maximizing gain(v) = |N_tmp(v)| − 2·|N_uni(v)|.
-        let mut best: Option<(usize, i64)> = None;
-        for u in s_tmp.iter() {
-            let mut tmp_cnt = 0i64;
-            let mut uni_cnt = 0i64;
-            for &w in g.left_neighbors(u) {
-                if n_tmp.contains(w) {
-                    tmp_cnt += 1;
-                } else if n_uni.contains(w) {
-                    uni_cnt += 1;
+        // Promote v: S_tmp → S_uni. Neighbors of v in N_tmp become uniquely
+        // covered (→ N_uni); those in N_uni lose uniqueness (→ N_many).
+        promoted[v] = true;
+        s_tmp_len -= 1;
+        for &w in g.left_neighbors(v) {
+            let delta = match state[w] {
+                TMP => {
+                    state[w] = UNI;
+                    -3
+                }
+                UNI => {
+                    state[w] = MANY;
+                    2
+                }
+                _ => continue,
+            };
+            for &u in g.right_neighbors(w) {
+                if promoted[u] {
+                    continue;
+                }
+                gain[u] += delta;
+                stamp[u] += 1;
+                if gain[u] > 0 {
+                    queue.push((gain[u], Reverse(u), stamp[u]));
                 }
             }
-            let gain = tmp_cnt - 2 * uni_cnt;
-            match best {
-                None => best = Some((u, gain)),
-                Some((_, bg)) if gain > bg => best = Some((u, gain)),
-                _ => {}
-            }
         }
-        let (v, gain) = best.expect("s_tmp is non-empty");
-        if gain <= 0 {
-            break;
-        }
-        // Promote v: S_tmp → S_uni.
-        s_tmp.remove(v);
-        s_uni.insert(v);
-        // Neighbors of v previously in N_uni lose uniqueness → N_many.
-        // Neighbors of v in N_tmp become uniquely covered → N_uni.
-        for &w in g.left_neighbors(v) {
-            if n_uni.contains(w) {
-                n_uni.remove(w);
-                n_many.insert(w);
-            } else if n_tmp.contains(w) {
-                n_tmp.remove(w);
-                n_uni.insert(w);
-            }
+        // Drop retired entries once they outnumber the live ones, so the
+        // queue stays O(|S_tmp|) instead of growing with |E|.
+        if queue.len() > 2 * s_tmp_len {
+            queue.retain(|&(_, Reverse(u), s)| stamp[u] == s);
         }
     }
 
+    let left_where = |want: bool| {
+        VertexSet::from_sorted(
+            num_left,
+            (0..num_left).filter(|&u| promoted[u] == want).collect(),
+        )
+    };
+    let right_where = |want: u8| {
+        VertexSet::from_sorted(
+            num_right,
+            candidates.iter().filter(|&w| state[w] == want).collect(),
+        )
+    };
     PartitionOutcome {
-        s_uni,
-        s_tmp,
-        n_uni,
-        n_many,
-        n_tmp,
+        s_uni: left_where(true),
+        s_tmp: left_where(false),
+        n_uni: right_where(UNI),
+        n_many: right_where(MANY),
+        n_tmp: right_where(TMP),
     }
 }
 
@@ -266,23 +312,10 @@ impl PartitionSolver {
             // left vertex has a positive gain; be defensive anyway)
             && outcome.n_tmp.len() < candidates.len()
         {
-            // Build the residual instance on (S_tmp, N_tmp) and recurse.
-            let s_tmp_vertices: Vec<usize> = outcome.s_tmp.to_vec();
-            let n_tmp_vertices: Vec<usize> = outcome.n_tmp.to_vec();
-            let mut right_index = vec![usize::MAX; g.num_right()];
-            for (i, &w) in n_tmp_vertices.iter().enumerate() {
-                right_index[w] = i;
-            }
-            let mut b = wx_graph::BipartiteBuilder::new(s_tmp_vertices.len(), n_tmp_vertices.len());
-            for (i, &u) in s_tmp_vertices.iter().enumerate() {
-                for &w in g.left_neighbors(u) {
-                    if outcome.n_tmp.contains(w) {
-                        b.add_edge(i, right_index[w]).expect("in range");
-                    }
-                }
-            }
-            let sub = b.build();
+            // Recurse into the residual instance induced by (S_tmp, N_tmp).
+            let sub = g.induced(&outcome.s_tmp, &outcome.n_tmp);
             let rec_local = self.solve_recursive(&sub, depth + 1);
+            let s_tmp_vertices = outcome.s_tmp.as_slice();
             let rec_subset =
                 VertexSet::from_iter(g.num_left(), rec_local.iter().map(|i| s_tmp_vertices[i]));
             let rec_cov = g.unique_coverage(&rec_subset);

@@ -254,6 +254,7 @@ impl SpokesmanSolver for PortfolioSolver {
     }
 
     fn solve(&self, g: &BipartiteGraph, seed: u64) -> SpokesmanResult {
+        let _span = wx_trace::span("spokesman.portfolio");
         let mut best: Option<SpokesmanResult> = None;
         for r in self.solve_all(g, seed) {
             best = Some(match best {
