@@ -8,6 +8,7 @@
 use crate::{Vertex, VertexSet};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+pub use rand_chacha::gen_bool_threshold;
 use rand_chacha::ChaCha8Rng;
 
 /// The RNG type used throughout the workspace.

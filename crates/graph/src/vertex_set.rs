@@ -144,6 +144,44 @@ impl VertexSet {
         true
     }
 
+    /// Inserts a strictly increasing run of vertices, none of them a member
+    /// yet, in one linear merge: O(|S| + k) for `k` new members, where `k`
+    /// calls to [`VertexSet::insert`] would cost O(k·|S|). The radio engines
+    /// add each round's receivers this way.
+    ///
+    /// # Panics
+    /// Panics if `vs` is not strictly increasing, or any vertex is
+    /// `>= universe` or already a member.
+    pub fn insert_sorted(&mut self, vs: &[usize]) {
+        for (i, &v) in vs.iter().enumerate() {
+            assert!(
+                i == 0 || vs[i - 1] < v,
+                "vertices must be strictly increasing"
+            );
+            assert!(
+                v < self.universe,
+                "vertex {v} out of range for universe {}",
+                self.universe
+            );
+            assert!(!self.contains(v), "vertex {v} is already a member");
+            self.words[v / WORD_BITS] |= 1u64 << (v % WORD_BITS);
+        }
+        // Merge from the back so every member moves at most once.
+        let old = self.members.len();
+        self.members.resize(old + vs.len(), 0);
+        let (mut i, mut j) = (old, vs.len());
+        while j > 0 {
+            let k = i + j - 1;
+            if i > 0 && self.members[i - 1] > vs[j - 1] {
+                self.members[k] = self.members[i - 1];
+                i -= 1;
+            } else {
+                self.members[k] = vs[j - 1];
+                j -= 1;
+            }
+        }
+    }
+
     /// Removes a vertex. Returns `true` if it was present.
     ///
     /// Costs O(|S|) for the same reason as [`VertexSet::insert`]: the
@@ -423,6 +461,49 @@ mod tests {
         let f = VertexSet::full(10);
         assert_eq!(f.len(), 10);
         assert!((0..10).all(|v| f.contains(v)));
+    }
+
+    #[test]
+    fn insert_sorted_matches_repeated_insert() {
+        let mut rng = crate::random::rng_from_seed(12);
+        for universe in [1usize, 10, 64, 65, 300] {
+            for _ in 0..20 {
+                let base = crate::random::bernoulli_subset(&mut rng, universe, 0.3);
+                let extra: Vec<usize> = crate::random::bernoulli_subset(&mut rng, universe, 0.4)
+                    .iter()
+                    .filter(|&v| !base.contains(v))
+                    .collect();
+                let mut merged = base.clone();
+                merged.insert_sorted(&extra);
+                let mut inserted = base.clone();
+                for &v in &extra {
+                    assert!(inserted.insert(v));
+                }
+                assert_eq!(merged, inserted, "universe {universe}");
+                assert_eq!(merged.count_ones(), merged.len());
+            }
+        }
+        // an empty run is a no-op, and an empty set takes any run
+        let mut s = VertexSet::from_iter(8, [1, 5]);
+        s.insert_sorted(&[]);
+        assert_eq!(s.to_vec(), vec![1, 5]);
+        let mut e = VertexSet::empty(8);
+        e.insert_sorted(&[0, 3, 7]);
+        assert_eq!(e.to_vec(), vec![0, 3, 7]);
+    }
+
+    #[test]
+    #[should_panic(expected = "already a member")]
+    fn insert_sorted_rejects_members() {
+        let mut s = VertexSet::from_iter(8, [1, 5]);
+        s.insert_sorted(&[2, 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increasing")]
+    fn insert_sorted_rejects_unsorted_runs() {
+        let mut s = VertexSet::empty(8);
+        s.insert_sorted(&[4, 2]);
     }
 
     #[test]

@@ -101,6 +101,39 @@ fn bundled_smoke_scenario_runs_and_validates() {
     assert!(report.metrics.contains_key("value"));
 }
 
+/// Runs the spec `wx <command> --source S … --seed K` assembles for `task`
+/// and compares its report with the committed file under `tests/golden/`.
+fn assert_matches_golden(
+    command: &str,
+    source: &str,
+    task: &str,
+    trials: usize,
+    seed: u64,
+    file: &str,
+) {
+    let spec = ScenarioSpec::from_json(
+        &format!(
+            r#"{{
+                "name": "adhoc-{command}",
+                "description": "ad-hoc `wx {command}` invocation",
+                "source": {source},
+                "task": {task},
+                "trials": {trials},
+                "seed": {seed}
+            }}"#
+        ),
+        "golden test",
+    )
+    .unwrap();
+    let path = format!("{}/../../tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
+    let golden = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(
+        Runner::new().run(&spec).unwrap().to_json(),
+        golden,
+        "{file}"
+    );
+}
+
 /// The committed `wx spokesman` reports under `tests/golden/` pin the
 /// solvers' picks: any change to a solver that alters a single pick, a
 /// coverage or a work counter changes these bytes. The CI workflow checks
@@ -121,27 +154,32 @@ fn spokesman_reports_match_the_golden_files() {
             "spokesman_margulis60_s1000_seed11.json",
         ),
     ] {
-        // the spec `wx spokesman --source S --set-size N --seed K` assembles
-        let spec = ScenarioSpec::from_json(
-            &format!(
-                r#"{{
-                    "name": "adhoc-spokesman",
-                    "description": "ad-hoc `wx spokesman` invocation",
-                    "source": {source},
-                    "task": {{"Spokesman": {{"set_size": {set_size}}}}},
-                    "trials": 1,
-                    "seed": {seed}
-                }}"#
-            ),
-            "golden test",
-        )
-        .unwrap();
-        let path = format!("{}/../../tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
-        let golden = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(
-            Runner::new().run(&spec).unwrap().to_json(),
-            golden,
-            "{file}"
-        );
+        let task = format!(r#"{{"Spokesman": {{"set_size": {set_size}}}}}"#);
+        assert_matches_golden("spokesman", source, &task, 1, seed, file);
+    }
+}
+
+/// The committed `wx radio` decay reports pin both radio engines' trials:
+/// every completion round, trajectory statistic and work counter. The
+/// Margulis graph is shared, so its 100 trials run as one full and one
+/// partial 64-lane batch whose tails take frontier-proportional rounds; the
+/// random regular source draws a graph per trial, so its trials run on the
+/// scalar engine. The CI workflow checks the same files through `wx`.
+#[test]
+fn radio_reports_match_the_golden_files() {
+    for (source, trials, file) in [
+        (
+            r#"{"Margulis": {"m": 100}}"#,
+            100,
+            "radio_decay_margulis100_t100_seed7.json",
+        ),
+        (
+            r#"{"RandomRegular": {"n": 2000, "d": 8}}"#,
+            16,
+            "radio_decay_rr2000_d8_t16_seed7.json",
+        ),
+    ] {
+        let task = r#"{"Radio": {"protocol": "Decay"}}"#;
+        assert_matches_golden("radio", source, task, trials, 7, file);
     }
 }

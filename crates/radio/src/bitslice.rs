@@ -11,8 +11,8 @@
 //! # Lane semantics
 //!
 //! * State is **lane-major**: [`LaneWorkspace`] holds one `u64` per vertex
-//!   for each of the informed / newly-informed / transmitter / collision
-//!   masks; bit `l` of word `v` is trial `l`'s bit for vertex `v`.
+//!   for each of the informed / transmitter / collision masks; bit `l` of
+//!   word `v` is trial `l`'s bit for vertex `v`.
 //! * Each lane runs under its own RNG stream, seeded from the caller's
 //!   per-lane seed slice (batch drivers derive these with
 //!   `derive_seed(base_seed, trial)`, the same convention as the scalar
@@ -26,27 +26,51 @@
 //!
 //! # Collision kernel
 //!
-//! Per round, for each transmitting vertex `v` with lane mask `t`, every
-//! neighbor `u` accumulates `twice[u] |= once[u] & t; once[u] |= t`. A
-//! vertex then receives in the lanes `once & !twice & !transmit` — heard
-//! exactly one transmitter and was not itself transmitting, the unique
-//! neighborhood `Γ¹(T)` evaluated in 64 trials per word operation.
+//! A vertex receives in the lanes where exactly one neighbor transmits and
+//! it does not transmit itself — the unique neighborhood `Γ¹(T)` evaluated
+//! in 64 trials per word operation. Accumulating a vertex's neighbors' lane
+//! masks `t` as `twice |= once & t; once |= t` leaves the receiving lanes
+//! in `once & !twice & !transmit`. Each round runs this from the cheaper
+//! side: **pulled** by every frontier vertex (below) from its neighbors, or
+//! **pushed** by every transmitter into its neighbors' accumulators when
+//! transmitters are fewer than half the frontier.
+//!
+//! # Frontier rounds
+//!
+//! The engine keeps the frontier `F`: the vertices uninformed in at least
+//! one live lane, compacted once per round and handed to protocols as
+//! [`LaneView::frontier`]. Only a frontier vertex can be newly informed,
+//! and once `|F|·Δ < n` a round's useful work is proportional to `F`, not
+//! to `n` (the direction-optimizing idea of breadth-first search, applied
+//! to radio rounds). Late in a batch almost every lane has informed almost
+//! every vertex, so the long tail of a broadcast runs in time proportional
+//! to what is left to inform.
+//!
+//! The lane protocol contract is relaxed accordingly: a transmission that
+//! cannot reach a vertex uninformed in its lane may be omitted
+//! ([`LaneProtocol::fill_transmitters`]), since neither its receipt nor
+//! its collisions can change that lane's state.
 //!
 //! # Protocols
 //!
-//! Randomized protocols implement [`LaneProtocol`] natively:
-//! [`LaneDecay`] ports the decay protocol by transposing 64×64 bit tiles of
-//! the eligibility matrix into per-lane vertex masks and drawing each lane's
+//! Randomized protocols implement [`LaneProtocol`] natively. [`LaneDecay`]
+//! ports the decay protocol. Its dense rounds transpose 64×64 bit tiles of
+//! the eligibility matrix into per-lane vertex masks and draw each lane's
 //! Bernoulli decisions in bulk from its own stream
 //! (`fill_masked_decision_bits` on the workspace RNG — stream-identical to
-//! per-vertex `gen_bool`). Deterministic protocols ride along for free:
-//! [`LaneMirror`] runs the scalar protocol once per round on a mirrored
-//! scalar state and broadcasts the transmitter mask to every live lane.
+//! per-vertex `gen_bool`). Its sparse rounds compute only the draws of
+//! (vertex, lane) pairs next to an uninformed vertex of that lane, each at
+//! its own position in the lane's counter-mode ChaCha stream, and seek
+//! every lane past the rest — so every stream, and every lane, stays
+//! bit-exact against the scalar protocol. Deterministic protocols ride along
+//! for free: [`LaneMirror`] runs the scalar protocol once per round on a
+//! mirrored scalar state and broadcasts the transmitter mask to every live
+//! lane.
 
 use crate::protocols::BroadcastProtocol;
 use crate::simulator::{RadioSimulator, RoundView, TrialOutcome};
 use std::cell::RefCell;
-use wx_graph::random::{rng_from_seed, WxRng};
+use wx_graph::random::{gen_bool_threshold, rng_from_seed, WxRng};
 use wx_graph::{Graph, GraphView, NeighborhoodScratch, Vertex, VertexSet};
 
 /// Maximum number of trials per bit-sliced batch (the lanes of a `u64`).
@@ -67,6 +91,9 @@ pub struct LaneView<'a, G: GraphView + ?Sized = Graph> {
     /// Lane-major informed state: bit `l` of `informed[v]` is set iff vertex
     /// `v` is informed in trial `l`.
     pub informed: &'a [u64],
+    /// The frontier: every vertex that is uninformed in at least one live
+    /// lane, ascending. A vertex outside it is informed in every live lane.
+    pub frontier: &'a [u32],
 }
 
 /// A broadcast protocol expressed over bit-lanes: one transmitter mask per
@@ -84,6 +111,12 @@ pub trait LaneProtocol<G: GraphView + ?Sized = Graph> {
     /// vertex `v` is informed in lane `l` and lane `l` is live; **every**
     /// word of `transmit` must be consistent with this round (stale bits
     /// from the previous round must be cleared by the implementation).
+    ///
+    /// A transmission that cannot reach an uninformed vertex — bit `(v, l)`
+    /// where every neighbor of `v` is informed in lane `l` — may be
+    /// omitted: only uninformed vertices can receive, so dropping it changes
+    /// no lane's state. A protocol that omits such bits must still consume
+    /// its random streams as if it had decided them.
     fn fill_transmitters(&mut self, view: &LaneView<'_, G>, transmit: &mut [u64]);
 }
 
@@ -116,23 +149,19 @@ pub struct LaneWorkspace {
     target: usize,
     /// Lane-major informed bits, one word per vertex.
     informed: Vec<u64>,
-    /// Lanes in which each vertex was first informed in the previous round.
-    newly: Vec<u64>,
-    /// Lanes in which each vertex was first informed this round (swapped
-    /// with `newly` at the end of each round).
-    fresh: Vec<u64>,
     /// This round's transmitter mask, filled by the protocol.
     transmit: Vec<u64>,
-    /// Collision accumulator: lanes in which ≥ 1 neighbor transmitted.
+    /// Push rounds' collision accumulator: lanes in which ≥ 1 neighbor
+    /// transmitted.
     once: Vec<u64>,
-    /// Collision accumulator: lanes in which ≥ 2 neighbors transmitted.
+    /// Push rounds' collision accumulator: lanes in which ≥ 2 neighbors
+    /// transmitted.
     twice: Vec<u64>,
     /// Vertices with a nonzero `once` word this round (targeted clearing).
     touched: Vec<usize>,
-    /// Vertices with a nonzero `newly` word.
-    newly_list: Vec<usize>,
-    /// Vertices with a nonzero `fresh` word.
-    fresh_list: Vec<usize>,
+    /// Vertices uninformed in at least one live lane, ascending; compacted
+    /// once per round ([`LaneView::frontier`]).
+    frontier: Vec<u32>,
     /// `first_informed[v * 64 + l]` = round lane `l` first informed vertex
     /// `v`, or `u32::MAX` if it never did.
     first_informed: Vec<u32>,
@@ -158,14 +187,11 @@ impl LaneWorkspace {
             lanes: 0,
             target: 0,
             informed: vec![0; n],
-            newly: vec![0; n],
-            fresh: vec![0; n],
             transmit: vec![0; n],
             once: vec![0; n],
             twice: vec![0; n],
             touched: Vec::new(),
-            newly_list: Vec::new(),
-            fresh_list: Vec::new(),
+            frontier: Vec::new(),
             first_informed: vec![u32::MAX; n * MAX_LANES],
             informed_count: [0; MAX_LANES],
             informed_per_round: (0..MAX_LANES).map(|_| Vec::new()).collect(),
@@ -179,8 +205,6 @@ impl LaneWorkspace {
         self.target = target;
         for buf in [
             &mut self.informed,
-            &mut self.newly,
-            &mut self.fresh,
             &mut self.transmit,
             &mut self.once,
             &mut self.twice,
@@ -193,12 +217,15 @@ impl LaneWorkspace {
             .iter_mut()
             .for_each(|x| *x = u32::MAX);
         self.touched.clear();
-        self.newly_list.clear();
-        self.fresh_list.clear();
+        assert!(
+            u32::try_from(n).is_ok(),
+            "the lane engine indexes vertices with u32, got n = {n}"
+        );
+        self.frontier.clear();
+        self.frontier
+            .extend((0..n as u32).filter(|&v| v as usize != source));
         let live = live_mask(lanes);
         self.informed[source] = live;
-        self.newly[source] = live;
-        self.newly_list.push(source);
         for l in 0..MAX_LANES {
             self.informed_count[l] = usize::from(l < lanes);
             self.informed_per_round[l].clear();
@@ -207,6 +234,23 @@ impl LaneWorkspace {
                 self.informed_per_round[l].push(1);
             }
             self.completed_at[l] = None;
+        }
+    }
+
+    /// Marks vertex `u` informed in the lanes `new_bits` (all previously
+    /// uninformed) at round `round`.
+    #[inline]
+    fn inform(&mut self, u: Vertex, new_bits: u64, round: usize) {
+        if new_bits == 0 {
+            return;
+        }
+        self.informed[u] |= new_bits;
+        let mut b = new_bits;
+        while b != 0 {
+            let l = b.trailing_zeros() as usize;
+            self.first_informed[u * MAX_LANES + l] = round as u32;
+            self.informed_count[l] += 1;
+            b &= b - 1;
         }
     }
 
@@ -267,6 +311,14 @@ fn live_mask(lanes: usize) -> u64 {
     }
 }
 
+/// `true` when a frontier of `frontier` vertices is small enough for
+/// frontier-proportional rounds: its `frontier · Δ` edge visits cost less
+/// than one pass over all `n` vertices.
+#[inline]
+fn frontier_is_small(frontier: usize, max_degree: usize, n: usize) -> bool {
+    frontier.saturating_mul(max_degree) < n
+}
+
 /// Runs one bit-sliced batch: `seeds.len()` independent trials (at most 64)
 /// of `protocol` on `sim`'s graph, all lanes advancing together through the
 /// word-parallel collision kernel. Results are read back per lane from `ws`
@@ -291,6 +343,7 @@ pub fn run_lanes_in<G: GraphView + ?Sized>(
     let config = sim.config();
     let n = graph.num_vertices();
     let target = sim.reachable_count();
+    let max_degree = graph.max_degree();
     ws.reset(n, source, lanes, target);
     protocol.reset(graph, source, seeds);
     let mut live = live_mask(lanes);
@@ -300,70 +353,73 @@ pub fn run_lanes_in<G: GraphView + ?Sized>(
     for round in 0..config.max_rounds {
         word_rounds = round as u64 + 1;
         {
+            // Drop the vertices every live lane has informed by now.
+            let informed = &ws.informed;
+            ws.frontier.retain(|&w| !informed[w as usize] & live != 0);
             let view = LaneView {
                 graph,
                 round,
                 source,
                 live,
                 informed: &ws.informed,
+                frontier: &ws.frontier,
             };
             protocol.fill_transmitters(&view, &mut ws.transmit);
         }
 
-        // Collision accumulation: for every transmitting vertex, every
-        // neighbor records which lanes heard one (`once`) or more (`twice`)
-        // transmitters.
-        ws.touched.clear();
-        for v in 0..n {
-            let t = ws.transmit[v];
-            if t == 0 {
-                continue;
-            }
-            debug_assert_eq!(
-                t & !(ws.informed[v] & live),
-                0,
-                "protocol {} transmitted from uninformed or retired lanes",
-                protocol.name()
-            );
-            for u in graph.neighbors_iter(v) {
-                if ws.once[u] == 0 {
-                    ws.touched.push(u);
-                }
-                ws.twice[u] |= ws.once[u] & t;
-                ws.once[u] |= t;
-            }
-        }
+        debug_assert!(
+            ws.transmit[..n]
+                .iter()
+                .zip(&ws.informed)
+                .all(|(&t, &i)| t & !(i & live) == 0),
+            "protocol {} transmitted from uninformed or retired lanes",
+            protocol.name()
+        );
 
         // Receivers: exactly one transmitting neighbor, not itself
-        // transmitting (`Γ¹(T)` per lane); the newly informed among them
-        // update counts and first-informed rounds.
-        ws.fresh_list.clear();
-        for i in 0..ws.touched.len() {
-            let u = ws.touched[i];
-            let recv = ws.once[u] & !ws.twice[u] & !ws.transmit[u];
-            ws.once[u] = 0;
-            ws.twice[u] = 0;
-            let new_bits = recv & !ws.informed[u] & live;
-            if new_bits != 0 {
-                ws.informed[u] |= new_bits;
-                ws.fresh[u] = new_bits;
-                ws.fresh_list.push(u);
-                let mut b = new_bits;
-                while b != 0 {
-                    let l = b.trailing_zeros() as usize;
-                    ws.first_informed[u * MAX_LANES + l] = (round + 1) as u32;
-                    ws.informed_count[l] += 1;
-                    b &= b - 1;
+        // transmitting (`Γ¹(T)` per lane). Only a frontier vertex can be
+        // newly informed, so the round is resolved from whichever side is
+        // cheaper: pulled by each frontier vertex from its neighbors, or
+        // pushed by each transmitter to its neighbors when transmitters
+        // are few.
+        let pull = frontier_is_small(ws.frontier.len(), max_degree, n)
+            || 2 * ws.transmit[..n].iter().filter(|&&t| t != 0).count() >= ws.frontier.len();
+        if pull {
+            for i in 0..ws.frontier.len() {
+                let u = ws.frontier[i] as usize;
+                let mut once = 0u64;
+                let mut twice = 0u64;
+                for v in graph.neighbors_iter(u) {
+                    let t = ws.transmit[v];
+                    twice |= once & t;
+                    once |= t;
+                }
+                let new_bits = once & !twice & !ws.transmit[u] & !ws.informed[u] & live;
+                ws.inform(u, new_bits, round + 1);
+            }
+        } else {
+            ws.touched.clear();
+            for v in 0..n {
+                let t = ws.transmit[v];
+                if t == 0 {
+                    continue;
+                }
+                for u in graph.neighbors_iter(v) {
+                    if ws.once[u] == 0 {
+                        ws.touched.push(u);
+                    }
+                    ws.twice[u] |= ws.once[u] & t;
+                    ws.once[u] |= t;
                 }
             }
+            for i in 0..ws.touched.len() {
+                let u = ws.touched[i];
+                let recv = ws.once[u] & !ws.twice[u] & !ws.transmit[u];
+                ws.once[u] = 0;
+                ws.twice[u] = 0;
+                ws.inform(u, recv & !ws.informed[u] & live, round + 1);
+            }
         }
-
-        // newly ← fresh (targeted clear, then swap — no per-round allocation)
-        for &v in &ws.newly_list {
-            ws.newly[v] = 0;
-        }
-        std::mem::swap(&mut ws.newly, &mut ws.fresh);
-        std::mem::swap(&mut ws.newly_list, &mut ws.fresh_list);
 
         // Per-lane bookkeeping: trajectories grow only for live lanes, and
         // the first completion round is pinned exactly as in the scalar
@@ -446,13 +502,22 @@ fn transpose64(a: &mut [u64; 64]) {
 
 /// The decay protocol over bit-lanes.
 ///
-/// Per round it builds the eligibility matrix (informed ∧ live, optionally ∧
-/// has-an-uninformed-neighbor), transposes it 64×64-tile by tile into
-/// per-lane vertex masks, and asks each lane's RNG for its Bernoulli
-/// decisions in one bulk call that deposits straight into the mask positions
-/// — consuming exactly one draw per eligible vertex in ascending vertex
-/// order, the same stream the scalar [`crate::protocols::decay::DecayProtocol`]
-/// consumes, so every lane is bit-exact against the scalar run.
+/// Every lane consumes exactly the stream the scalar
+/// [`crate::protocols::decay::DecayProtocol`] consumes — one draw per
+/// eligible vertex (informed ∧ live, optionally ∧ has-an-uninformed-neighbor)
+/// in ascending vertex order — so every lane is bit-exact against the scalar
+/// run. A round takes one of two paths, chosen by the frontier size:
+///
+/// * **Dense** (early rounds): it builds the eligibility matrix, transposes
+///   it 64×64-tile by tile into per-lane vertex masks, and asks each lane's
+///   RNG for its Bernoulli decisions in one bulk call that deposits straight
+///   into the mask positions.
+/// * **Sparse** (once `|F|·Δ < n` for the frontier `F`): it decides only
+///   the (vertex, lane) pairs where the vertex has an uninformed neighbor
+///   in that lane, computing each such draw from its position in the lane's
+///   counter-mode stream, and then seeks every live lane past the whole
+///   round's draws. The omitted transmissions could not have reached an
+///   uninformed vertex (see [`LaneProtocol::fill_transmitters`]).
 #[derive(Debug, Default)]
 pub struct LaneDecay {
     /// Rounds per phase; `None` means `⌈log₂ n⌉ + 1` (the scalar default).
@@ -462,12 +527,31 @@ pub struct LaneDecay {
     rngs: Vec<WxRng>,
     lanes: usize,
     tiles: usize,
+    /// The graph's maximum degree (sizes a sparse round's work).
+    max_degree: usize,
     /// Per-lane eligibility masks, `[lane][tile]` flattened.
     lane_masks: Vec<u64>,
     /// Per-lane decision words aligned with `lane_masks`.
     lane_out: Vec<u64>,
     /// Packed decision stream scratch for the bulk RNG call.
     scratch: Vec<u64>,
+    /// `true` while `transmit` may hold bits anywhere (after a dense
+    /// round); otherwise only the words of `touched` can be nonzero.
+    dense_last: bool,
+    /// Sparse rounds: the vertices with a needed transmission, ascending.
+    touched: Vec<u32>,
+    /// Sparse rounds: the lanes in which each `touched` vertex is needed.
+    need: Vec<u64>,
+    /// Sparse rounds: per lane, the needed draws as (draw index within the
+    /// round, slot in `touched`), ascending.
+    requests: Vec<Vec<(u32, u32)>>,
+    /// Sparse rounds: the distinct stream blocks of one lane's needed
+    /// draws, ascending.
+    counters: Vec<u64>,
+    /// Sparse rounds: the blocks named by `counters`.
+    blocks: Vec<[u32; 16]>,
+    /// Rounds since the last reset that took the sparse path.
+    sparse_rounds: usize,
 }
 
 impl LaneDecay {
@@ -484,29 +568,35 @@ impl LaneDecay {
             .unwrap_or_else(|| (n.max(2) as f64).log2().ceil() as usize + 1)
             .max(1)
     }
-}
 
-impl<G: GraphView + ?Sized> LaneProtocol<G> for LaneDecay {
-    fn name(&self) -> &'static str {
-        "decay"
-    }
-
-    fn reset(&mut self, graph: &G, _source: Vertex, seeds: &[u64]) {
-        self.lanes = seeds.len();
-        self.tiles = graph.num_vertices().div_ceil(64);
-        self.rngs.clear();
-        for &s in seeds {
-            self.rngs.push(rng_from_seed(s));
+    /// The lanes in which vertex `v` draws a decision this round: informed
+    /// and live, and with `only_useful` also with an uninformed neighbor.
+    #[inline]
+    fn eligible<G: GraphView + ?Sized>(&self, view: &LaneView<'_, G>, v: Vertex) -> u64 {
+        let mut e = view.informed[v] & view.live;
+        if self.only_useful && e != 0 {
+            // lanes with at least one uninformed neighbor of v
+            let mut un = 0u64;
+            for u in view.graph.neighbors_iter(v) {
+                un |= !view.informed[u];
+                if un == u64::MAX {
+                    break;
+                }
+            }
+            e &= un;
         }
-        self.lane_masks.resize(self.lanes * self.tiles, 0);
-        self.lane_out.resize(self.lanes * self.tiles, 0);
+        e
     }
 
-    fn fill_transmitters(&mut self, view: &LaneView<'_, G>, transmit: &mut [u64]) {
+    /// The dense round: transpose the eligibility matrix into per-lane
+    /// masks, draw every lane's decisions in bulk, transpose back.
+    fn dense_round<G: GraphView + ?Sized>(
+        &mut self,
+        view: &LaneView<'_, G>,
+        p: f64,
+        transmit: &mut [u64],
+    ) {
         let n = view.graph.num_vertices();
-        let k = self.effective_phase_length(n);
-        let i = view.round % k;
-        let p = 0.5f64.powi(i as i32);
         let tiles = self.tiles;
 
         // Eligibility matrix → per-lane vertex masks, one 64×64 bit
@@ -517,21 +607,8 @@ impl<G: GraphView + ?Sized> LaneProtocol<G> for LaneDecay {
             let mut tile = [0u64; 64];
             let mut any = 0u64;
             for (j, word) in tile.iter_mut().enumerate().take(height) {
-                let v = base + j;
-                let mut e = view.informed[v] & view.live;
-                if self.only_useful && e != 0 {
-                    // lanes with at least one uninformed neighbor of v
-                    let mut un = 0u64;
-                    for u in view.graph.neighbors_iter(v) {
-                        un |= !view.informed[u];
-                        if un == u64::MAX {
-                            break;
-                        }
-                    }
-                    e &= un;
-                }
-                *word = e;
-                any |= e;
+                *word = self.eligible(view, base + j);
+                any |= *word;
             }
             if any == 0 {
                 for l in 0..self.lanes {
@@ -576,6 +653,191 @@ impl<G: GraphView + ?Sized> LaneProtocol<G> for LaneDecay {
                 transpose64(&mut tile);
                 transmit[base..base + height].copy_from_slice(&tile[..height]);
             }
+        }
+        self.dense_last = true;
+    }
+
+    /// The sparse round: decide only the needed (vertex, lane) pairs, each
+    /// from its own position in the lane's stream, then seek every live
+    /// lane to where the dense round would have left it.
+    fn sparse_round<G: GraphView + ?Sized>(
+        &mut self,
+        view: &LaneView<'_, G>,
+        p: f64,
+        transmit: &mut [u64],
+    ) {
+        let n = view.graph.num_vertices();
+        let informed = view.informed;
+        self.sparse_rounds += 1;
+        if self.dense_last {
+            transmit[..n].iter_mut().for_each(|w| *w = 0);
+            self.dense_last = false;
+        } else {
+            for &v in &self.touched {
+                transmit[v as usize] = 0;
+            }
+        }
+
+        // need[v] = lanes where v is informed and has an uninformed
+        // neighbor; every such neighbor lies in the frontier. Accumulated in
+        // the (now clean) transmit words.
+        self.touched.clear();
+        for &u in view.frontier {
+            let un = !informed[u as usize] & view.live;
+            for v in view.graph.neighbors_iter(u as usize) {
+                let bits = un & informed[v];
+                if bits != 0 {
+                    if transmit[v] == 0 {
+                        self.touched.push(v as u32);
+                    }
+                    transmit[v] |= bits;
+                }
+            }
+        }
+        self.touched.sort_unstable();
+
+        // One merge walk over the frontier and the touched vertices gives
+        // every needed draw's index in its lane's stream. Lane l draws for
+        // each eligible vertex in ascending order, so the draw of v is the
+        // number of eligible vertices below v: without `only_useful` that is
+        // v minus the frontier vertices below v uninformed in l; with it, the
+        // needed vertices below v (which are then exactly the eligible ones).
+        let t53 = gen_bool_threshold(p);
+        let all_pass = t53 == 1u64 << 53;
+        for r in &mut self.requests {
+            r.clear();
+        }
+        let mut below = [0u32; MAX_LANES];
+        let mut next = 0;
+        self.need.clear();
+        for (slot, &v) in self.touched.iter().enumerate() {
+            let need = transmit[v as usize];
+            self.need.push(need);
+            if !self.only_useful {
+                while let Some(&w) = view.frontier.get(next).filter(|&&w| w < v) {
+                    count_lanes(&mut below, !informed[w as usize] & view.live);
+                    next += 1;
+                }
+            }
+            let mut b = need;
+            while b != 0 {
+                let l = b.trailing_zeros() as usize;
+                b &= b - 1;
+                let draw = if self.only_useful {
+                    below[l] += 1;
+                    below[l] - 1
+                } else {
+                    v - below[l]
+                };
+                if !all_pass {
+                    self.requests[l].push((draw, slot as u32));
+                }
+            }
+        }
+        if !self.only_useful {
+            for &w in &view.frontier[next..] {
+                count_lanes(&mut below, !informed[w as usize] & view.live);
+            }
+        }
+
+        // Per live lane: compute the blocks holding its needed draws, decide
+        // them, and seek past the round. Probability-1 rounds need no draws.
+        // The draws each lane's dense round would have consumed.
+        let mut dense = [0u32; MAX_LANES];
+        if cfg!(debug_assertions) {
+            for v in 0..n {
+                count_lanes(&mut dense, self.eligible(view, v));
+            }
+        }
+        let mut lb = view.live;
+        while lb != 0 {
+            let l = lb.trailing_zeros() as usize;
+            lb &= lb - 1;
+            let start = self.rngs[l].get_word_pos();
+            let eligible = if self.only_useful {
+                below[l] as usize
+            } else {
+                n - below[l] as usize
+            };
+            debug_assert_eq!(start % 2, 0, "lane streams move in whole u64 draws");
+            if !all_pass {
+                // Draw j is the u64 at word `start + 2j`: words w, w+1 of
+                // block (start + 2j) / 16, with w even.
+                let requests = &self.requests[l];
+                self.counters.clear();
+                self.counters.extend(
+                    requests
+                        .iter()
+                        .map(|&(j, _)| ((start + 2 * j as u128) / 16) as u64),
+                );
+                self.counters.dedup();
+                self.blocks.resize(self.counters.len(), [0; 16]);
+                self.rngs[l].blocks_at(&self.counters, &mut self.blocks);
+                let mut ci = 0;
+                for &(j, slot) in requests {
+                    let pos = start + 2 * j as u128;
+                    while self.counters[ci] != (pos / 16) as u64 {
+                        ci += 1;
+                    }
+                    let w = (pos % 16) as usize;
+                    let draw = self.blocks[ci][w] as u64 | (self.blocks[ci][w + 1] as u64) << 32;
+                    if (draw >> 11) >= t53 {
+                        self.need[slot as usize] &= !(1u64 << l);
+                    }
+                }
+            }
+            self.rngs[l].set_word_pos(start + 2 * eligible as u128);
+            debug_assert_eq!(
+                eligible, dense[l] as usize,
+                "lane {l}: the sparse round's stream position diverged from the dense path's"
+            );
+        }
+
+        for (&v, &bits) in self.touched.iter().zip(self.need.iter()) {
+            transmit[v as usize] = bits;
+        }
+    }
+}
+
+/// Adds one to `counts[l]` for every set bit `l` of `lanes`.
+#[inline]
+fn count_lanes(counts: &mut [u32; MAX_LANES], lanes: u64) {
+    let mut b = lanes;
+    while b != 0 {
+        counts[b.trailing_zeros() as usize] += 1;
+        b &= b - 1;
+    }
+}
+
+impl<G: GraphView + ?Sized> LaneProtocol<G> for LaneDecay {
+    fn name(&self) -> &'static str {
+        "decay"
+    }
+
+    fn reset(&mut self, graph: &G, _source: Vertex, seeds: &[u64]) {
+        self.lanes = seeds.len();
+        self.tiles = graph.num_vertices().div_ceil(64);
+        self.max_degree = graph.max_degree();
+        self.rngs.clear();
+        for &s in seeds {
+            self.rngs.push(rng_from_seed(s));
+        }
+        self.lane_masks.resize(self.lanes * self.tiles, 0);
+        self.lane_out.resize(self.lanes * self.tiles, 0);
+        self.requests.resize_with(MAX_LANES, Default::default);
+        self.touched.clear();
+        self.dense_last = true;
+        self.sparse_rounds = 0;
+    }
+
+    fn fill_transmitters(&mut self, view: &LaneView<'_, G>, transmit: &mut [u64]) {
+        let n = view.graph.num_vertices();
+        let k = self.effective_phase_length(n);
+        let p = 0.5f64.powi((view.round % k) as i32);
+        if frontier_is_small(view.frontier.len(), self.max_degree, n) {
+            self.sparse_round(view, p, transmit);
+        } else {
+            self.dense_round(view, p, transmit);
         }
     }
 }
@@ -678,10 +940,11 @@ impl<G: GraphView + ?Sized, P: BroadcastProtocol<G>> LaneProtocol<G> for LaneMir
             .unique_neighborhood_sorted(view.graph, &self.transmitters);
         self.fresh.clear();
         for &v in receivers {
-            if self.informed.insert(v) {
+            if !self.informed.contains(v) {
                 self.fresh.insert(v);
             }
         }
+        self.informed.insert_sorted(self.fresh.as_slice());
         std::mem::swap(&mut self.newly, &mut self.fresh);
     }
 }
@@ -713,6 +976,7 @@ mod tests {
     use crate::protocols::round_robin::RoundRobin;
     use crate::simulator::SimulatorConfig;
     use crate::workspace::TrialWorkspace;
+    use proptest::prelude::*;
     use wx_graph::random::derive_seed;
 
     #[test]
@@ -787,6 +1051,96 @@ mod tests {
             assert_eq!(ws.lanes(), lanes);
             for (lane, &seed) in seeds.iter().enumerate() {
                 assert_lane_matches_scalar(&sim, &ws, lane, seed, DecayProtocol::default());
+            }
+        }
+    }
+
+    /// A path `0 – 1 – … – (n−1)` plus `chords`.
+    fn path_plus(n: usize, chords: &[(usize, usize)]) -> Graph {
+        let path = (1..n).map(|v| (v - 1, v));
+        let chords = chords.iter().map(|&(u, v)| (u % n, v % n));
+        Graph::from_edges(n, path.chain(chords).filter(|(u, v)| u != v)).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Lane decay — dense rounds, sparse rounds and the switch between
+        /// them — is bit-exact against scalar decay runs: on paths, on
+        /// paths with chords and on random (often disconnected) graphs,
+        /// over partial batches, explicit phase lengths, `only_useful` and
+        /// `stop_when_complete = false`.
+        #[test]
+        fn lane_decay_matches_scalar_decay(
+            shape in (0usize..3, 3usize..100),
+            edges in prop::collection::vec((0usize..100, 0usize..100), 0..160),
+            batch in (1usize..=64, 0u64..1_000_000),
+            flags in (prop::bool::ANY, prop::bool::ANY, 0usize..5),
+        ) {
+            let ((kind, n), (lanes, base), (only_useful, stop, phase)) = (shape, batch, flags);
+            let source = (base as usize) % n;
+            let (g, source) = match kind {
+                0 => (path_plus(n, &[]), 0),
+                1 => (path_plus(n, &edges[..edges.len() / 8]), source),
+                _ => {
+                    let edges = edges.iter().map(|&(u, v)| (u % n, v % n)).filter(|(u, v)| u != v);
+                    (Graph::from_edges(n, edges).unwrap(), source)
+                }
+            };
+            let config = SimulatorConfig {
+                max_rounds: if stop { 4000 } else { 150 },
+                stop_when_complete: stop,
+            };
+            let sim = RadioSimulator::new(&g, source, config);
+            let seeds: Vec<u64> = (0..lanes as u64).map(|t| derive_seed(base, t)).collect();
+            let phase_length = (phase > 0).then_some(phase);
+            let mut proto = LaneDecay { phase_length, only_useful, ..LaneDecay::default() };
+            let mut ws = LaneWorkspace::new(0);
+            run_lanes_in(&sim, &mut proto, &seeds, &mut ws);
+            for (lane, &seed) in seeds.iter().enumerate() {
+                assert_lane_matches_scalar(
+                    &sim,
+                    &ws,
+                    lane,
+                    seed,
+                    DecayProtocol { phase_length, only_useful },
+                );
+            }
+            if kind == 0 && stop {
+                // On a path from vertex 0 a lane informs at most one vertex
+                // per round, so in the batch's last round every live lane
+                // lacks only vertex n−1: the frontier is {n−1}, and
+                // 1·Δ = 2 < n makes that round sparse.
+                prop_assert!(proto.sparse_rounds > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_rounds_carry_expander_tails() {
+        // On an expander the frontier shrinks below n/Δ long before the
+        // last lane completes, so most of the tail runs sparse.
+        let g = wx_constructions::families::margulis_graph(20).unwrap();
+        let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
+        for only_useful in [false, true] {
+            let seeds: Vec<u64> = (0..64).map(|t| derive_seed(31, t)).collect();
+            let mut ws = LaneWorkspace::new(0);
+            let mut proto = LaneDecay {
+                only_useful,
+                ..LaneDecay::default()
+            };
+            run_lanes_in(&sim, &mut proto, &seeds, &mut ws);
+            assert!(
+                proto.sparse_rounds >= 10,
+                "{} sparse rounds",
+                proto.sparse_rounds
+            );
+            for (lane, &seed) in seeds.iter().enumerate() {
+                let scalar = DecayProtocol {
+                    phase_length: None,
+                    only_useful,
+                };
+                assert_lane_matches_scalar(&sim, &ws, lane, seed, scalar);
             }
         }
     }

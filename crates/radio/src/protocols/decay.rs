@@ -11,7 +11,6 @@
 
 use crate::protocols::BroadcastProtocol;
 use crate::simulator::RoundView;
-use rand::Rng;
 use wx_graph::random::WxRng;
 use wx_graph::{GraphView, Vertex, VertexSet};
 
@@ -56,17 +55,39 @@ impl<G: GraphView + ?Sized> BroadcastProtocol<G> for DecayProtocol {
         let k = self.effective_phase_length(n);
         let i = view.round % k;
         let p = 0.5f64.powi(i as i32);
-        // Iterate the informed bitset directly (members are sorted, so the
-        // inserts below append in order) — no boxed iterator, no `to_vec`,
-        // no per-round allocation. The usefulness test short-circuits before
-        // the rng draw so the random stream matches the historical
-        // materialize-then-filter implementation bit for bit.
+        // One `gen_bool(p)` per eligible vertex in ascending order, drawn in
+        // bulk for a stack buffer of eligible vertices at a time
+        // (`fill_decision_bits` consumes exactly the per-vertex stream; no
+        // per-round allocation). The usefulness test comes before the draw.
+        let mut eligible = [0usize; DRAW_CHUNK];
+        let mut len = 0;
         for v in view.informed.iter() {
-            if (!self.only_useful || crate::protocols::is_useful_transmitter(view, v))
-                && rng.gen_bool(p)
-            {
-                out.insert(v);
+            if !self.only_useful || crate::protocols::is_useful_transmitter(view, v) {
+                eligible[len] = v;
+                len += 1;
+                if len == DRAW_CHUNK {
+                    transmit_drawn(rng, p, &eligible, out);
+                    len = 0;
+                }
             }
+        }
+        transmit_drawn(rng, p, &eligible[..len], out);
+    }
+}
+
+/// Eligible vertices whose decisions are drawn per bulk call.
+const DRAW_CHUNK: usize = 1024;
+
+/// Draws one `gen_bool(p)` per vertex of `vs` (ascending) and adds the
+/// winners to `out`; they append in order, since `vs` is sorted.
+fn transmit_drawn(rng: &mut WxRng, p: f64, vs: &[usize], out: &mut VertexSet) {
+    let mut bits = [0u64; DRAW_CHUNK / 64];
+    rng.fill_decision_bits(p, vs.len(), &mut bits);
+    for (w, &word) in bits.iter().enumerate() {
+        let mut b = word;
+        while b != 0 {
+            out.insert(vs[w * 64 + b.trailing_zeros() as usize]);
+            b &= b - 1;
         }
     }
 }

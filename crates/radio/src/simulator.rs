@@ -213,16 +213,33 @@ impl<'a, G: GraphView + ?Sized> RadioSimulator<'a, G> {
                 "protocol {} transmitted from uninformed vertices",
                 protocol.name()
             );
-            let receivers = ws
-                .scratch
-                .unique_neighborhood_sorted(self.graph, &ws.transmitters);
+            // The newly informed are the uninformed members of `Γ¹(T)`,
+            // resolved from the smaller side: pushed from the transmitters
+            // through the scratch, or pulled by each uninformed vertex from
+            // its neighbors once those are fewer (the broadcast's tail).
+            // Either way they come in ascending order, append to `fresh`,
+            // and join `informed` in one linear merge.
             ws.fresh.clear();
-            for &v in receivers {
-                if ws.informed.insert(v) {
-                    ws.fresh.insert(v);
-                    ws.first_informed_round[v] = Some(round + 1);
+            if n - ws.informed.len() < ws.transmitters.len() {
+                for u in uninformed(&ws.informed) {
+                    if hears_exactly_one(self.graph, u, &ws.transmitters) {
+                        ws.fresh.insert(u);
+                    }
+                }
+            } else {
+                let receivers = ws
+                    .scratch
+                    .unique_neighborhood_sorted(self.graph, &ws.transmitters);
+                for &v in receivers {
+                    if !ws.informed.contains(v) {
+                        ws.fresh.insert(v);
+                    }
                 }
             }
+            for v in ws.fresh.iter() {
+                ws.first_informed_round[v] = Some(round + 1);
+            }
+            ws.informed.insert_sorted(ws.fresh.as_slice());
             std::mem::swap(&mut ws.newly, &mut ws.fresh);
             wx_trace::event_value("radio.newly_informed", ws.newly.len() as u64);
             ws.informed_per_round.push(ws.informed.len());
@@ -255,6 +272,39 @@ impl<'a, G: GraphView + ?Sized> RadioSimulator<'a, G> {
             rounds_simulated,
         }
     }
+}
+
+/// The vertices outside `set`, ascending, read off its bitset words.
+fn uninformed(set: &VertexSet) -> impl Iterator<Item = Vertex> + '_ {
+    let n = set.universe();
+    set.as_words()
+        .iter()
+        .enumerate()
+        .flat_map(move |(w, &word)| {
+            let mut b = !word;
+            std::iter::from_fn(move || {
+                let v = w * 64 + b.trailing_zeros() as usize;
+                (b != 0 && v < n).then(|| {
+                    b &= b - 1;
+                    v
+                })
+            })
+        })
+}
+
+/// `true` iff exactly one neighbor of `u` is in the transmitter set `t`. An
+/// uninformed `u` is silent (transmitters are informed), so then it receives.
+fn hears_exactly_one<G: GraphView + ?Sized>(graph: &G, u: Vertex, t: &VertexSet) -> bool {
+    let mut heard = 0;
+    for v in graph.neighbors_iter(u) {
+        if t.contains(v) {
+            heard += 1;
+            if heard > 1 {
+                return false;
+            }
+        }
+    }
+    heard == 1
 }
 
 /// The number of vertices reachable from `source` in `graph` (one BFS) —

@@ -14,6 +14,15 @@
 //! to the scalar block function. Consumers that drain millions of draws per
 //! trial (the bit-sliced radio engine) depend on this being a pure speedup
 //! with no stream divergence.
+//!
+//! Because the cipher is counter-mode, any part of a stream can also be
+//! reached without producing what comes before it:
+//! [`ChaCha8Rng::get_word_pos`] reports the stream position,
+//! [`ChaCha8Rng::set_word_pos`] seeks in O(1), and
+//! [`ChaCha8Rng::blocks_at`] computes arbitrary blocks (16 at a time on
+//! AVX-512) without moving the generator. A consumer that needs only a few
+//! scattered draws computes those and seeks past the rest, and ends up in
+//! exactly the state sequential drawing would have left.
 
 use rand::{RngCore, SeedableRng};
 
@@ -94,6 +103,15 @@ fn raw_block(state: &[u32; 16]) -> [u32; 16] {
     out
 }
 
+/// The block with counter `counter` under `state`'s key and nonce.
+#[inline]
+fn raw_block_at(state: &[u32; 16], counter: u64) -> [u32; 16] {
+    let mut st = *state;
+    st[12] = counter as u32;
+    st[13] = (counter >> 32) as u32;
+    raw_block(&st)
+}
+
 /// How many blocks the bulk paths produce per batch (128 `u64`s).
 const BULK_BLOCKS: usize = 16;
 /// `u64`s per ChaCha block.
@@ -102,7 +120,8 @@ const U64_PER_BLOCK: usize = 8;
 const BULK_U64: usize = BULK_BLOCKS * U64_PER_BLOCK;
 
 /// The integer threshold `T` such that the shim's `gen_bool(p)` accepts a
-/// raw draw `x` iff `(x >> 11) < T`.
+/// raw draw `x` iff `(x >> 11) < T` — the comparison consumers of
+/// [`ChaCha8Rng::blocks_at`] apply to reproduce `gen_bool` decisions.
 ///
 /// `gen_bool` compares `((x >> 11) as f64) * 2⁻⁵³ < p`. The left-hand side
 /// is exact (a 53-bit integer scaled by a power of two), so the comparison
@@ -110,8 +129,11 @@ const BULK_U64: usize = BULK_BLOCKS * U64_PER_BLOCK;
 /// exactly representable (scaling a finite f64 by a power of two only moves
 /// its exponent), so taking the ceiling of the product reproduces the f64
 /// comparison bit for bit for every valid `p`.
+///
+/// # Panics
+/// Panics if `p` is outside `[0, 1]` (matching `gen_bool`).
 #[inline]
-fn gen_bool_threshold(p: f64) -> u64 {
+pub fn gen_bool_threshold(p: f64) -> u64 {
     assert!((0.0..=1.0).contains(&p), "p={p} is outside [0,1]");
     let t = p * (1u64 << 53) as f64;
     if t.fract() == 0.0 {
@@ -128,12 +150,83 @@ impl ChaCha8Rng {
         self.word_idx = 0;
     }
 
+    /// The 64-bit block counter in words 12/13: the block the next refill
+    /// computes.
+    #[inline]
+    fn counter(&self) -> u64 {
+        self.state[12] as u64 | ((self.state[13] as u64) << 32)
+    }
+
+    #[inline]
+    fn set_counter(&mut self, counter: u64) {
+        self.state[12] = counter as u32;
+        self.state[13] = (counter >> 32) as u32;
+    }
+
     /// Advances the 64-bit block counter in words 12/13 by `n` blocks.
     #[inline]
     fn advance_counter(&mut self, n: u64) {
-        let counter = (self.state[12] as u64 | ((self.state[13] as u64) << 32)).wrapping_add(n);
-        self.state[12] = counter as u32;
-        self.state[13] = (counter >> 32) as u32;
+        self.set_counter(self.counter().wrapping_add(n));
+    }
+
+    /// The stream position: how many 32-bit words have been consumed
+    /// (a `next_u64` consumes two). Word `w` of the stream is word `w % 16`
+    /// of block `w / 16`.
+    pub fn get_word_pos(&self) -> u128 {
+        // `word_idx == 16` means block `counter − 1` is used up, which is
+        // the same position as `word_idx == 0` of block `counter`.
+        (self.counter() as u128) * 16 + self.word_idx as u128 - 16
+    }
+
+    /// Seeks to stream position `pos` (in 32-bit words, as
+    /// [`ChaCha8Rng::get_word_pos`] reports it) in O(1): at most one block
+    /// is computed, and none when `pos` is a block boundary. Skipping `k`
+    /// draws this way leaves the generator exactly where drawing and
+    /// discarding them would.
+    pub fn set_word_pos(&mut self, pos: u128) {
+        // The block counter is 64 bits wide, so positions wrap modulo
+        // 2⁶⁴ blocks, exactly as a sequential stream does.
+        let block = (pos / 16) as u64;
+        let word = (pos % 16) as usize;
+        self.set_counter(block);
+        if word == 0 {
+            // The next draw refills from `block` itself.
+            self.word_idx = 16;
+        } else {
+            self.refill();
+            self.word_idx = word;
+        }
+    }
+
+    /// Random access into the stream: `out[i]` receives block
+    /// `counters[i]`, the 16 words at positions `16·counters[i] ..` — the
+    /// same words sequential draws would serve there. The generator does not
+    /// move. Counters may come in any order and may repeat; full groups of
+    /// 16 run through the AVX-512 kernel when available.
+    ///
+    /// # Panics
+    /// Panics if `out` is shorter than `counters`.
+    pub fn blocks_at(&self, counters: &[u64], out: &mut [[u32; 16]]) {
+        assert!(
+            out.len() >= counters.len(),
+            "block buffer shorter than the counter list: {} < {}",
+            out.len(),
+            counters.len()
+        );
+        let use_avx512 = simd::avx512_available();
+        let mut groups = counters.chunks_exact(BULK_BLOCKS);
+        let mut i = 0;
+        for group in groups.by_ref() {
+            let group: &[u64; BULK_BLOCKS] = group.try_into().expect("chunk is exactly 16 long");
+            let dst: &mut [[u32; 16]; BULK_BLOCKS] = (&mut out[i..i + BULK_BLOCKS])
+                .try_into()
+                .expect("chunk is exactly 16 long");
+            simd::blocks16_at(&self.state, group, dst, use_avx512);
+            i += BULK_BLOCKS;
+        }
+        for (o, &c) in out[i..].iter_mut().zip(groups.remainder()) {
+            *o = raw_block_at(&self.state, c);
+        }
     }
 
     #[inline]
@@ -269,7 +362,7 @@ impl ChaCha8Rng {
 /// 512-bit vectors and transposes in-register; the portable path loops the
 /// scalar block function. Both produce identical bytes.
 mod simd {
-    use super::{raw_block, BULK_BLOCKS, BULK_U64};
+    use super::{raw_block, raw_block_at, BULK_BLOCKS, BULK_U64};
 
     /// Runtime AVX-512F detection (memoized by `std`); callers hoist this
     /// out of their batch loops.
@@ -297,6 +390,27 @@ mod simd {
         }
         let _ = use_avx512;
         scalar_blocks16_u64(state, out);
+    }
+
+    /// The 16 blocks with the given counters, in order (the key and nonce
+    /// come from `state`; its own counter is ignored).
+    #[inline]
+    pub fn blocks16_at(
+        state: &[u32; 16],
+        counters: &[u64; BULK_BLOCKS],
+        out: &mut [[u32; 16]; BULK_BLOCKS],
+        use_avx512: bool,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if use_avx512 {
+            // SAFETY: gated on runtime AVX-512F detection.
+            unsafe { avx512::blocks16_at(state, counters, out) };
+            return;
+        }
+        let _ = use_avx512;
+        for (o, &c) in out.iter_mut().zip(counters.iter()) {
+            *o = raw_block_at(state, c);
+        }
     }
 
     /// `gen_bool`-threshold decisions for the next 128 draws, in stream
@@ -412,24 +526,56 @@ mod simd {
         use super::BULK_U64;
         use std::arch::x86_64::*;
 
-        /// 16 blocks, one per 32-bit lane, then an in-register 16×16 `u32`
-        /// transpose so register `j` holds block `j` in stream order.
+        /// 16 consecutive blocks starting at `state`'s counter, register
+        /// `j` holding block `j` in stream order.
         ///
         /// # Safety
         /// Requires AVX-512F at runtime.
         #[target_feature(enable = "avx512f")]
         unsafe fn blocks16(state: &[u32; 16]) -> [__m512i; 16] {
+            let c0 = state[12] as u64 | ((state[13] as u64) << 32);
+            let mut counters = [0u64; 16];
+            for (j, c) in counters.iter_mut().enumerate() {
+                *c = c0.wrapping_add(j as u64);
+            }
+            unsafe { blocks16_with(state, &counters) }
+        }
+
+        /// # Safety
+        /// Requires AVX-512F at runtime.
+        #[target_feature(enable = "avx512f")]
+        pub unsafe fn blocks16_at(
+            state: &[u32; 16],
+            counters: &[u64; 16],
+            out: &mut [[u32; 16]; 16],
+        ) {
+            unsafe {
+                let blocks = blocks16_with(state, counters);
+                for (o, blk) in out.iter_mut().zip(blocks.iter()) {
+                    // SAFETY: `o` is 16 `u32`s, exactly one 512-bit
+                    // register, and `storeu` needs no alignment.
+                    _mm512_storeu_si512(o.as_mut_ptr() as *mut __m512i, *blk);
+                }
+            }
+        }
+
+        /// 16 blocks with the given counters, one per 32-bit lane, then an
+        /// in-register 16×16 `u32` transpose so register `j` holds block
+        /// `counters[j]`.
+        ///
+        /// # Safety
+        /// Requires AVX-512F at runtime.
+        #[target_feature(enable = "avx512f")]
+        unsafe fn blocks16_with(state: &[u32; 16], counters: &[u64; 16]) -> [__m512i; 16] {
             unsafe {
                 let mut v: [__m512i; 16] = [_mm512_setzero_si512(); 16];
                 for (w, lane) in v.iter_mut().enumerate() {
                     *lane = _mm512_set1_epi32(state[w] as i32);
                 }
-                // Per-lane block counters: lane j simulates counter c + j.
-                let c0 = state[12] as u64 | ((state[13] as u64) << 32);
+                // Per-lane block counters: lane j computes block counters[j].
                 let mut c_lo = [0u32; 16];
                 let mut c_hi = [0u32; 16];
-                for j in 0..16 {
-                    let c = c0.wrapping_add(j as u64);
+                for (j, &c) in counters.iter().enumerate() {
                     c_lo[j] = c as u32;
                     c_hi[j] = (c >> 32) as u32;
                 }
@@ -692,6 +838,167 @@ mod tests {
                 }
                 // exactly one draw per set bit was consumed
                 assert_eq!(bulk.next_u64(), scalar.next_u64());
+            }
+        }
+    }
+
+    /// The first `words` words of seed `seed`'s stream, drawn one by one.
+    fn sequential_words(seed: u64, words: usize) -> Vec<u32> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        (0..words).map(|_| rng.next_u32()).collect()
+    }
+
+    #[test]
+    fn word_pos_counts_consumed_words() {
+        let mut rng = ChaCha8Rng::seed_from_u64(21);
+        assert_eq!(rng.get_word_pos(), 0);
+        rng.next_u32();
+        assert_eq!(rng.get_word_pos(), 1);
+        rng.next_u64();
+        assert_eq!(rng.get_word_pos(), 3);
+        for _ in 0..13 {
+            rng.next_u32();
+        }
+        // exactly one block used up, before and after the next refill
+        assert_eq!(rng.get_word_pos(), 16);
+        rng.next_u32();
+        assert_eq!(rng.get_word_pos(), 17);
+        let mut out = vec![0u64; 300];
+        rng.fill_u64(&mut out);
+        assert_eq!(rng.get_word_pos(), 617);
+        let mut bits = [0u64; 8];
+        rng.fill_decision_bits(0.5, 401, &mut bits);
+        assert_eq!(rng.get_word_pos(), 617 + 802);
+    }
+
+    #[test]
+    fn set_word_pos_matches_the_sequential_stream() {
+        let stream = sequential_words(33, 4096);
+        let mut offsets: Vec<usize> = vec![0, 1, 2, 15, 16, 17, 31, 32, 33, 255, 256, 257];
+        let mut pick = ChaCha8Rng::seed_from_u64(1);
+        offsets.extend((0..200).map(|_| pick.gen_range(0..4000usize)));
+        for &pos in &offsets {
+            // seek forwards from a fresh generator and backwards from a used one
+            let mut fresh = ChaCha8Rng::seed_from_u64(33);
+            let mut used = ChaCha8Rng::seed_from_u64(33);
+            for _ in 0..4050 {
+                used.next_u32();
+            }
+            for rng in [&mut fresh, &mut used] {
+                rng.set_word_pos(pos as u128);
+                assert_eq!(rng.get_word_pos(), pos as u128, "pos={pos}");
+                let got: Vec<u32> = (0..40).map(|_| rng.next_u32()).collect();
+                assert_eq!(got, stream[pos..pos + 40], "pos={pos}");
+            }
+        }
+    }
+
+    #[test]
+    fn seeking_after_odd_u32_draws_keeps_u64_pairs_aligned() {
+        // After an odd number of `next_u32` calls every `next_u64` straddles
+        // a word pair differently; a seek must reproduce that exactly.
+        for odd in [1usize, 3, 15, 17, 31] {
+            let mut seq = ChaCha8Rng::seed_from_u64(8);
+            for _ in 0..odd {
+                seq.next_u32();
+            }
+            let start = seq.get_word_pos();
+            assert_eq!(start, odd as u128);
+            let expect: Vec<u64> = (0..50).map(|_| seq.next_u64()).collect();
+            let mut sought = ChaCha8Rng::seed_from_u64(8);
+            sought.set_word_pos(start);
+            let got: Vec<u64> = (0..50).map(|_| sought.next_u64()).collect();
+            assert_eq!(got, expect, "odd={odd}");
+            // the bulk paths stay exact from a sought odd position too
+            let mut bulk = ChaCha8Rng::seed_from_u64(8);
+            bulk.set_word_pos(start);
+            let mut out = vec![0u64; 50];
+            bulk.fill_u64(&mut out);
+            assert_eq!(out, expect, "odd={odd} (fill_u64)");
+        }
+    }
+
+    #[test]
+    fn skipping_k_draws_equals_drawing_and_discarding_them() {
+        let mut pick = ChaCha8Rng::seed_from_u64(2);
+        for _ in 0..100 {
+            let warmup = pick.gen_range(0..40usize);
+            let k = pick.gen_range(0..1000u64);
+            let mut drawn = ChaCha8Rng::seed_from_u64(77);
+            let mut skipped = ChaCha8Rng::seed_from_u64(77);
+            for _ in 0..warmup {
+                drawn.next_u32();
+                skipped.next_u32();
+            }
+            for _ in 0..k {
+                drawn.next_u64();
+            }
+            skipped.set_word_pos(skipped.get_word_pos() + 2 * k as u128);
+            assert_eq!(skipped.get_word_pos(), drawn.get_word_pos());
+            for _ in 0..20 {
+                assert_eq!(
+                    skipped.next_u64(),
+                    drawn.next_u64(),
+                    "warmup={warmup} k={k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn blocks_at_matches_the_sequential_stream() {
+        let stream = sequential_words(44, 16 * 300);
+        let mut pick = ChaCha8Rng::seed_from_u64(3);
+        // any order, repeats, and lengths on both sides of the 16-wide kernel
+        for len in [0usize, 1, 5, 15, 16, 17, 32, 47] {
+            let counters: Vec<u64> = (0..len).map(|_| pick.gen_range(0..300u64)).collect();
+            let mut rng = ChaCha8Rng::seed_from_u64(44);
+            rng.next_u32(); // the generator's own position is irrelevant
+            let before = rng.get_word_pos();
+            let mut out = vec![[0u32; 16]; len];
+            rng.blocks_at(&counters, &mut out);
+            assert_eq!(
+                rng.get_word_pos(),
+                before,
+                "blocks_at must not move the stream"
+            );
+            for (&c, block) in counters.iter().zip(out.iter()) {
+                let c = c as usize;
+                assert_eq!(block[..], stream[16 * c..16 * (c + 1)], "block {c}");
+            }
+        }
+        // draws rebuilt from random-access blocks equal gen_bool decisions
+        let mut seq = ChaCha8Rng::seed_from_u64(44);
+        let t = gen_bool_threshold(0.3);
+        let rng = ChaCha8Rng::seed_from_u64(44);
+        for draw in 0..500usize {
+            let mut block = [[0u32; 16]; 1];
+            rng.blocks_at(&[(2 * draw / 16) as u64], &mut block);
+            let w = 2 * draw % 16;
+            let x = block[0][w] as u64 | (block[0][w + 1] as u64) << 32;
+            assert_eq!((x >> 11) < t, seq.gen_bool(0.3), "draw {draw}");
+        }
+    }
+
+    #[test]
+    fn block_kernels_agree_on_arbitrary_counters() {
+        let rng = ChaCha8Rng::seed_from_u64(91);
+        let mut pick = ChaCha8Rng::seed_from_u64(4);
+        for _ in 0..20 {
+            let mut counters = [0u64; 16];
+            for c in counters.iter_mut() {
+                // include counters whose high word is set
+                *c = pick.next_u64() >> pick.gen_range(0..64u32);
+            }
+            let mut portable = [[0u32; 16]; 16];
+            simd::blocks16_at(&rng.state, &counters, &mut portable, false);
+            for (block, &c) in portable.iter().zip(counters.iter()) {
+                assert_eq!(*block, raw_block_at(&rng.state, c));
+            }
+            if simd::avx512_available() {
+                let mut vector = [[0u32; 16]; 16];
+                simd::blocks16_at(&rng.state, &counters, &mut vector, true);
+                assert_eq!(vector, portable);
             }
         }
     }
