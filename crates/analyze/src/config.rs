@@ -59,7 +59,6 @@ impl Config {
                 "crates/graph/src/neighborhood.rs",
                 "crates/graph/src/disk.rs",
                 "crates/graph/src/mmap.rs",
-                "crates/radio/src/workspace.rs",
                 "crates/radio/src/protocols/",
                 "crates/radio/src/bitslice.rs",
             ]),

@@ -22,10 +22,9 @@
 //! | [`experiments::e10`] | Appendix A — deterministic bounds and the MG(δ) profile |
 //! | [`experiments::e11`] | Introduction — the `C⁺` example end to end |
 //!
-//! Every experiment has a `run(quick)` entry point returning the printed
-//! report; the `e*` binaries are thin wrappers, `run_all_experiments`
-//! regenerates everything for `EXPERIMENTS.md`, and the Criterion benches in
-//! `benches/` measure the runtime of the underlying algorithms.
+//! Every experiment has a `run(opts)` entry point returning the printed
+//! report; `wx sweep --all [--quick]` runs them all, and the Criterion
+//! benches in `benches/` measure the runtime of the underlying algorithms.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,30 +47,6 @@ impl Default for ExperimentOptions {
         ExperimentOptions {
             quick: false,
             seed: 0xE0,
-        }
-    }
-}
-
-impl ExperimentOptions {
-    /// Parses options from command-line arguments: `--quick` and
-    /// `--seed <u64>` are recognized.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let quick = args.iter().any(|a| a == "--quick");
-        let seed = args
-            .iter()
-            .position(|a| a == "--seed")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0xE0);
-        ExperimentOptions { quick, seed }
-    }
-
-    /// The quick variant of these options.
-    pub fn quick(self) -> Self {
-        ExperimentOptions {
-            quick: true,
-            ..self
         }
     }
 }

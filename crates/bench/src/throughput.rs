@@ -5,9 +5,9 @@
 //! trial engine is simple: how many *trials per second* and *simulated
 //! rounds per second* the engine sustains on a production-scale instance.
 //! [`run`] races the configured protocols on one shared
-//! `random_regular(n, d)` instance — one graph build, one BFS, one trial
+//! `random_regular(n, d)` instance — one graph build, one BFS, one lane
 //! workspace per rayon worker — and records wall-clock throughput per
-//! protocol. The default full configuration is the ROADMAP-scale
+//! protocol, one trial per batch and then across a sweep of batch widths. The default full configuration is the ROADMAP-scale
 //! `random_regular(100_000, 8)`; [`ThroughputConfig::smoke`] is the
 //! CI-sized variant.
 //!
@@ -16,11 +16,10 @@
 //! machine-readable perf trajectory the criterion shim started.
 
 use serde::Serialize;
-use wx_core::graph::random::WxRng;
-use wx_core::graph::{GraphView, Result as GraphResult, Vertex, VertexSet};
+use wx_core::graph::{GraphView, Result as GraphResult, Vertex};
 use wx_core::radio::protocols::ProtocolKind;
-use wx_core::radio::trials::{map_trials, map_trials_lanes};
-use wx_core::radio::{BroadcastProtocol, RadioSimulator, RoundView, SimulatorConfig};
+use wx_core::radio::trials::map_trials_lanes;
+use wx_core::radio::{LaneProtocol, LaneView, RadioSimulator, SimulatorConfig};
 use wx_core::report::{fmt_f64, render_table, to_json_pretty, TableRow};
 use wx_core::trace::Clock;
 
@@ -40,12 +39,11 @@ pub struct ThroughputConfig {
     pub max_rounds: usize,
     /// Protocols racing on the instance.
     pub protocols: Vec<ProtocolKind>,
-    /// Lane widths for the bit-sliced engine sweep. Each randomized protocol
-    /// additionally races once per width through
-    /// [`wx_core::radio::bitslice`], simulating that many trials per `u64`
-    /// word; empty disables the sweep. Deterministic protocols run one trial
-    /// total, so word-parallelism has nothing to amortize and they are
-    /// excluded.
+    /// Lane widths for the batch-width sweep. Each randomized protocol
+    /// races once at one trial per batch and then once per width listed
+    /// here, simulating that many trials per `u64` word; empty disables the
+    /// sweep. Deterministic protocols run one trial total, so
+    /// word-parallelism has nothing to amortize and they are excluded.
     pub lanes: Vec<usize>,
 }
 
@@ -60,7 +58,7 @@ impl ThroughputConfig {
             seed: 0xBE,
             max_rounds: 10_000,
             protocols: vec![ProtocolKind::Decay, ProtocolKind::Spokesman],
-            lanes: vec![1, 8, 32, 64],
+            lanes: vec![8, 32, 64],
         }
     }
 
@@ -87,12 +85,12 @@ pub struct ProtocolThroughput {
     pub label: String,
     /// Protocol name.
     pub protocol: String,
-    /// Which trial engine produced the record: `"scalar"` (one trial at a
-    /// time through `run_in`) or `"bitsliced"` (word-parallel lanes through
-    /// [`wx_core::radio::bitslice`]).
+    /// The trial engine that produced the record: always `"bitsliced"`, the
+    /// lane engine in [`wx_core::radio::bitslice`]; kept so readers of
+    /// earlier `BENCH_radio_throughput.json` files see one schema.
     pub engine: String,
-    /// Trials simulated per machine word — 1 for the scalar engine, the
-    /// swept width for the bit-sliced engine.
+    /// Trials simulated per machine word — 1 for the per-protocol row, the
+    /// swept width for the others.
     pub lanes: usize,
     /// Trials executed (1 for non-randomized protocols).
     pub trials: usize,
@@ -105,14 +103,15 @@ pub struct ProtocolThroughput {
     /// Wall-clock time for the whole ensemble.
     pub elapsed_seconds: f64,
     /// Wall-clock time the protocol itself spent choosing transmitters
-    /// (`reset` plus every per-round `transmitters_into`) — for centralized
+    /// (`reset` plus every per-round `fill_transmitters`) — for centralized
     /// protocols (spokesman) this is dominated by the per-round schedule
     /// *solver*, which earlier report versions conflated with simulation
-    /// throughput. Scalar records only; `None` for the bit-sliced engine.
+    /// throughput. Per-protocol (1-lane) rows only; `None` for the width
+    /// sweep.
     pub solve_seconds: Option<f64>,
     /// `elapsed_seconds` minus `solve_seconds`: the time spent in the
-    /// simulator proper (collision resolution, bookkeeping). Scalar records
-    /// only.
+    /// simulator proper (collision resolution, bookkeeping). Per-protocol
+    /// rows only.
     pub simulate_seconds: Option<f64>,
     /// Trials per second of wall-clock time.
     pub trials_per_sec: f64,
@@ -196,8 +195,8 @@ impl ThroughputReport {
 /// overflow-immune phase totals for this name.
 const SOLVE_SPAN: &str = "bench.solve";
 
-/// Wraps a protocol and records the wall-clock time spent inside the
-/// protocol's own calls — `reset` plus every per-round `transmitters_into`,
+/// Wraps a lane protocol and records the wall-clock time spent inside the
+/// protocol's own calls — `reset` plus every per-round `fill_transmitters`,
 /// where centralized protocols (spokesman) run their schedule solver — as
 /// `bench.solve` spans, so the report can split `elapsed_seconds` into
 /// protocol *solve* time vs simulator time instead of conflating them into
@@ -207,33 +206,30 @@ struct SolveSpanProtocol<P> {
     inner: P,
 }
 
-impl<G: GraphView + ?Sized, P: BroadcastProtocol<G>> BroadcastProtocol<G> for SolveSpanProtocol<P> {
+impl<G: GraphView + ?Sized, P: LaneProtocol<G>> LaneProtocol<G> for SolveSpanProtocol<P> {
     fn name(&self) -> &'static str {
         self.inner.name()
     }
 
-    fn reset(&mut self, graph: &G, source: Vertex) {
+    fn reset(&mut self, graph: &G, source: Vertex, seeds: &[u64]) {
         let _span = wx_trace::span(SOLVE_SPAN);
-        self.inner.reset(graph, source);
+        self.inner.reset(graph, source, seeds);
     }
 
-    fn transmitters_into(&mut self, view: &RoundView<'_, G>, rng: &mut WxRng, out: &mut VertexSet) {
+    fn fill_transmitters(&mut self, view: &LaneView<'_, G>, transmit: &mut [u64]) {
         let _span = wx_trace::span(SOLVE_SPAN);
-        self.inner.transmitters_into(view, rng, out);
+        self.inner.fill_transmitters(view, transmit);
     }
 }
 
-/// One `(completed_at, rounds_simulated)` summary per trial — the
-/// constant-size reduction both engines produce.
+/// One `(completed_at, rounds_simulated)` summary per trial.
 type TrialSummary = (Option<usize>, usize);
 
 /// Assembles a [`ProtocolThroughput`] record from an ensemble's summaries
-/// and its wall-clock time (shared by the scalar and bit-sliced paths).
-#[allow(clippy::too_many_arguments)]
+/// and its wall-clock time.
 fn record_from_summaries(
     label: String,
     kind: ProtocolKind,
-    engine: &str,
     lanes: usize,
     summaries: &[TrialSummary],
     elapsed_seconds: f64,
@@ -247,7 +243,7 @@ fn record_from_summaries(
     ProtocolThroughput {
         label,
         protocol: kind.name().to_string(),
-        engine: engine.to_string(),
+        engine: "bitsliced".to_string(),
         lanes,
         trials,
         completed,
@@ -262,9 +258,9 @@ fn record_from_summaries(
 }
 
 /// Runs the configured race: builds the shared instance once, then drives
-/// each protocol through the streaming trial engine and times the ensemble.
-/// Randomized protocols additionally race once per configured lane width
-/// through the bit-sliced engine (labels
+/// each protocol through the lane engine one trial per batch (label
+/// `radio_throughput/<protocol>/<n>`) and times the ensemble. Randomized
+/// protocols additionally race once per configured lane width (labels
 /// `radio_throughput/<protocol>/lanes<L>/<n>`, at least `L` trials so a
 /// full word is exercised).
 pub fn run(config: &ThroughputConfig) -> GraphResult<ThroughputReport> {
@@ -299,12 +295,13 @@ pub fn run(config: &ThroughputConfig) -> GraphResult<ThroughputReport> {
             1
         };
         let clock = Clock::start();
-        let summaries = map_trials(
+        let summaries = map_trials_lanes(
             &sim,
             trials,
             config.seed,
+            1,
             || SolveSpanProtocol {
-                inner: kind.build(),
+                inner: kind.build_lanes(),
             },
             |_, outcome, _| (outcome.completed_at, outcome.rounds_simulated),
         );
@@ -313,7 +310,6 @@ pub fn run(config: &ThroughputConfig) -> GraphResult<ThroughputReport> {
         records.push(record_from_summaries(
             format!("radio_throughput/{}/{}", kind.name(), config.n),
             kind,
-            "scalar",
             1,
             &summaries,
             elapsed_seconds,
@@ -343,7 +339,6 @@ pub fn run(config: &ThroughputConfig) -> GraphResult<ThroughputReport> {
                     config.n
                 ),
                 kind,
-                "bitsliced",
                 width,
                 &summaries,
                 elapsed_seconds,
@@ -384,20 +379,18 @@ mod tests {
         };
         let report = run(&config).unwrap();
         assert_eq!(report.bench, "radio_throughput");
-        // decay scalar + decay lanes-64 + spokesman scalar
+        // decay 1-lane + decay lanes-64 + spokesman 1-lane
         assert_eq!(report.records.len(), 3);
         let decay = &report.records[0];
         assert_eq!(decay.protocol, "decay");
-        assert_eq!(decay.engine, "scalar");
+        assert_eq!(decay.engine, "bitsliced");
         assert_eq!(decay.lanes, 1);
         assert_eq!(decay.trials, 3);
         assert_eq!(decay.completed, 3, "decay failed on a 4-regular expander");
         assert!(decay.trials_per_sec > 0.0);
         assert!(decay.rounds_per_sec > 0.0);
         assert!(decay.mean_rounds.unwrap() >= 1.0);
-        // the bit-sliced sweep runs at least one full word of trials and
-        // must agree with the scalar engine on the mean completion round
-        // over its (superset of) trials
+        // the width sweep runs at least one full word of trials
         let sliced = &report.records[1];
         assert_eq!(sliced.protocol, "decay");
         assert_eq!(sliced.engine, "bitsliced");
@@ -411,7 +404,7 @@ mod tests {
         let spokesman = &report.records[2];
         assert_eq!(spokesman.trials, 1);
         assert_eq!(spokesman.completed, 1);
-        assert_eq!(spokesman.engine, "scalar");
+        assert_eq!(spokesman.lanes, 1);
         let solve = spokesman.solve_seconds.unwrap();
         let simulate = spokesman.simulate_seconds.unwrap();
         // the per-round schedule solver always costs measurable time
@@ -432,10 +425,10 @@ mod tests {
     }
 
     #[test]
-    fn scalar_and_bitsliced_records_agree_on_shared_trials() {
-        // Same seed, same trial count: the per-trial summaries behind both
-        // engines' records are bit-exact, so the aggregate round statistics
-        // must coincide exactly.
+    fn one_lane_and_wide_records_agree_on_shared_trials() {
+        // Same seed, same trial count: a trial's result does not depend on
+        // its batch width, so the aggregate round statistics of the 1-lane
+        // row and the 16-lane row must coincide exactly.
         let config = ThroughputConfig {
             n: 256,
             d: 4,
@@ -446,11 +439,12 @@ mod tests {
         };
         let report = run(&config).unwrap();
         assert_eq!(report.records.len(), 2);
-        let (scalar, sliced) = (&report.records[0], &report.records[1]);
-        assert_eq!(scalar.trials, sliced.trials);
-        assert_eq!(scalar.completed, sliced.completed);
-        assert_eq!(scalar.mean_rounds, sliced.mean_rounds);
-        assert_eq!(scalar.total_rounds, sliced.total_rounds);
+        let (single, wide) = (&report.records[0], &report.records[1]);
+        assert_eq!((single.lanes, wide.lanes), (1, 16));
+        assert_eq!(single.trials, wide.trials);
+        assert_eq!(single.completed, wide.completed);
+        assert_eq!(single.mean_rounds, wide.mean_rounds);
+        assert_eq!(single.total_rounds, wide.total_rounds);
     }
 
     #[test]

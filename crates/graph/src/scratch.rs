@@ -252,18 +252,6 @@ impl NeighborhoodScratch {
         self.count_unique_neighborhood(g, s) as f64 / s.len() as f64
     }
 
-    /// Sorts the touched list in place, optionally keeping only vertices with
-    /// exactly one recorded neighbor, and returns it as a borrowed slice —
-    /// the allocation-free alternative to materializing a [`VertexSet`].
-    fn touched_sorted(&mut self, unique_only: bool) -> &[usize] {
-        if unique_only {
-            let (touched, count) = (&mut self.touched, &self.count);
-            touched.retain(|&u| count[u] == 1);
-        }
-        self.touched.sort_unstable();
-        &self.touched
-    }
-
     /// The members of `Γ⁻(S)`, sorted, borrowed from the scratch (valid until
     /// the next kernel call). Used by
     /// [`crate::BipartiteGraph::from_set_in_graph_with`] to build the
@@ -274,7 +262,8 @@ impl NeighborhoodScratch {
         s: &VertexSet,
     ) -> &[usize] {
         self.accumulate_marks(g, s, Some(s));
-        self.touched_sorted(false)
+        self.touched.sort_unstable();
+        &self.touched
     }
 
     /// Like [`NeighborhoodScratch::external_neighborhood_sorted`], but also
@@ -304,20 +293,6 @@ impl NeighborhoodScratch {
     pub fn rank_of(&self, u: usize) -> usize {
         debug_assert_eq!(self.mark[u], self.epoch, "rank_of on an unranked vertex");
         self.count[u] as usize
-    }
-
-    /// The members of `Γ¹(S)`, sorted, borrowed from the scratch (valid until
-    /// the next kernel call). This is the radio simulator's per-round receiver
-    /// resolution: under the collision rule a vertex receives iff it is not
-    /// itself transmitting and hears exactly one transmitter, i.e. the
-    /// receiver set of transmitter set `T` is exactly `Γ¹(T)`.
-    pub fn unique_neighborhood_sorted<G: GraphView + ?Sized>(
-        &mut self,
-        g: &G,
-        s: &VertexSet,
-    ) -> &[usize] {
-        self.accumulate(g, s, Some(s));
-        self.touched_sorted(true)
     }
 
     /// Materializes the touched vertices satisfying `keep(count)` as a sorted
@@ -495,8 +470,6 @@ mod tests {
         let mut scr = NeighborhoodScratch::default();
         let ext: Vec<usize> = scr.external_neighborhood_sorted(&g, &s).to_vec();
         assert_eq!(ext, scr.external_neighborhood(&g, &s).to_vec());
-        let uniq: Vec<usize> = scr.unique_neighborhood_sorted(&g, &s).to_vec();
-        assert_eq!(uniq, scr.unique_neighborhood(&g, &s).to_vec());
     }
 
     #[test]

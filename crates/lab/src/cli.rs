@@ -11,7 +11,7 @@
 //!              [--max-rounds N] [...]
 //! wx sweep     (--all | NAME...) [--quick] [--seed N] [--out PATH]
 //! wx bench     [--smoke] [--n N] [--d D] [--trials N] [--seed N]
-//!              [--max-rounds N] [--protocols a,b] [--lanes 1,8,64]
+//!              [--max-rounds N] [--protocols a,b] [--lanes 8,32,64]
 //!              [--materialize] [--out PATH]
 //! wx convert   <input.edges|.col> <output.wxg> [--chunk-capacity EDGES]
 //! wx list
@@ -99,7 +99,7 @@ USAGE:
                [--max-rounds N] [...]
   wx sweep     (--all | NAME...) [--quick] [--seed N] [--out PATH]
   wx bench     [--smoke] [--n N] [--d D] [--trials N] [--seed N]
-               [--max-rounds N] [--protocols a,b] [--lanes 1,8,64]
+               [--max-rounds N] [--protocols a,b] [--lanes 8,32,64]
                [--materialize] [--out PATH]
   wx convert   <input.edges|.col> <output.wxg> [--chunk-capacity EDGES]
   wx list
@@ -801,6 +801,34 @@ mod tests {
             ])),
             2
         );
+    }
+
+    #[test]
+    fn exact_spokesman_beyond_its_limit_is_rejected() {
+        // The exact solver handles at most `ExactSolver::MAX_LEFT` left
+        // vertices: a larger set is an invalid spec (exit 2), not a panic.
+        let dir = std::env::temp_dir().join("wx-lab-cli-exact-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = dir.join("report.json");
+        let run = |set_size: &str| {
+            main_with_args(&strs(&[
+                "spokesman",
+                "--source",
+                r#"{"RandomRegular": {"n": 400, "d": 8}}"#,
+                "--set-size",
+                set_size,
+                "--solvers",
+                "exact",
+                "--seed",
+                "1",
+                "--out",
+                out.to_str().unwrap(),
+            ]))
+        };
+        assert_eq!(run("100"), 2);
+        assert_eq!(run("10"), 0);
+        let text = std::fs::read_to_string(&out).unwrap();
+        assert!(text.contains("certificate:exact"), "{text}");
     }
 
     #[test]

@@ -68,6 +68,10 @@ pub mod runner;
 pub mod source;
 pub mod spec;
 
+#[cfg(test)]
+#[path = "../../radio/tests/oracle/mod.rs"]
+mod radio_oracle;
+
 pub use cache::{ArtifactCache, CacheConfig, CacheStats, RunContext};
 pub use error::{LabError, Result};
 pub use runner::{Runner, ScenarioReport, TrialPlan};

@@ -7,9 +7,9 @@
 //!   from a JSON file.
 //! * **Paper experiments** — the eleven `e1`..`e11` harnesses from
 //!   `wx-bench`, re-registered here so `wx sweep --all` reproduces the whole
-//!   paper through one command. They run through the same checked entry
-//!   point the `run_all_experiments` binary uses (panics become failed
-//!   entries, never aborts).
+//!   paper through one command. They run through the checked entry point
+//!   `wx_bench::experiments::run_checked` (panics become failed entries,
+//!   never aborts).
 //!
 //! [`run_sweep`] executes any selection of entries and produces one
 //! serializable [`SweepReport`] whose exit status callers can trust: an

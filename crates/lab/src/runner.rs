@@ -34,8 +34,8 @@ use wx_core::graph::random::{derive_seed, random_subset_of_size, rng_from_seed};
 use wx_core::graph::scratch::with_thread_scratch;
 use wx_core::graph::{BipartiteGraph, GraphView, SubgraphView};
 use wx_core::radio::{
-    run_lanes_in, with_thread_lane_workspace, with_thread_workspace, LaneWorkspace, RadioSimulator,
-    SimulatorConfig, MAX_LANES,
+    run_lanes_in, with_thread_lane_workspace, LaneWorkspace, RadioSimulator, SimulatorConfig,
+    MAX_LANES,
 };
 use wx_core::report::{
     fmt_f64, render_table, to_json_pretty, AggregateStats, StatsAccumulator, TableRow,
@@ -284,14 +284,13 @@ impl Runner {
             _ => None,
         };
 
-        // The bit-sliced lane fast path: when the graph is shared across
-        // trials, radio ensembles run through the word-parallel engine in
-        // `wx_core::radio::bitslice` — batches of up to 64 trials simulate
-        // simultaneously as bit-lanes of one `u64` word per vertex, with
-        // per-lane RNG streams keeping every trial bit-exact against the
-        // scalar `run_in` it replaces (deterministic protocols compute one
-        // scalar transmitter mask per round and broadcast it to every lane).
-        // Reports are byte-identical to the per-trial scalar path's.
+        // Shared-graph radio ensembles: every radio trial runs on the lane
+        // engine in `wx_core::radio::bitslice`, and when the graph is shared
+        // across trials, up to 64 of them share one batch as the bit-lanes
+        // of one `u64` word per vertex. A lane's trial does not depend on
+        // its batch, so these reports are byte-identical to running each
+        // trial as a 1-lane batch (the per-trial path below), except for the
+        // batch-occupancy counters recorded here.
         if let (
             Some(bg),
             Task::Radio {
@@ -319,8 +318,7 @@ impl Runner {
                     wx_trace::with_counters(|| {
                         let _span = wx_trace::span("lab.simulate");
                         // One footprint sample per trial, matching what the
-                        // generic path records — lane and scalar telemetry
-                        // stay byte-identical.
+                        // per-trial path records.
                         wx_trace::count(
                             wx_trace::CounterId::GraphMemoryBytes,
                             (batch.len() as u64) * g.memory_bytes() as u64,
@@ -332,14 +330,30 @@ impl Runner {
                         }
                         with_thread_lane_workspace(|ws| {
                             run_lanes_in(&sim, &mut *proto, &seeds[..batch.len()], ws);
+                            // Batch occupancy: the word-rounds paid (the
+                            // slowest lane's rounds times the width) and
+                            // the lanes that completed.
+                            let lanes = || (0..batch.len()).map(|lane| ws.lane_outcome(lane));
+                            let rounds = lanes().map(|o| o.rounds_simulated).max().unwrap_or(0);
+                            let completed = lanes().filter(|o| o.completed()).count();
+                            wx_trace::count(
+                                wx_trace::CounterId::RadioLaneRounds,
+                                (rounds * batch.len()) as u64,
+                            );
+                            wx_trace::count(
+                                wx_trace::CounterId::RadioLanesCompleted,
+                                completed as u64,
+                            );
                             batch
                                 .iter()
                                 .enumerate()
                                 .map(|(lane, trial)| {
+                                    let mut metrics = lane_metrics(ws, lane);
+                                    insert_graph_meta(&mut metrics, meta);
                                     Ok(TrialRecord {
                                         trial: trial.index,
                                         seed: trial.seed,
-                                        metrics: lane_metrics(ws, lane, meta),
+                                        metrics,
                                     })
                                 })
                                 .collect()
@@ -635,18 +649,19 @@ fn run_task_with_meta<G: GraphView + Sync + ?Sized>(
         g.memory_bytes() as u64,
     );
     let mut metrics = execute_task(g, task, seed, radio_reachable, solve)?;
-    let (n, m, max_degree) = meta.unwrap_or_else(|| graph_meta(g));
-    metrics.insert("graph_n".to_string(), n);
-    metrics.insert("graph_m".to_string(), m);
-    metrics.insert("graph_max_degree".to_string(), max_degree);
+    insert_graph_meta(&mut metrics, meta.unwrap_or_else(|| graph_meta(g)));
     Ok(metrics)
 }
 
-/// The metric map of one finished lane — key-for-key and value-for-value
-/// identical to what the scalar radio arm of [`execute_task`] plus
-/// [`run_task_with_meta`] records for the same trial seed, which is what
-/// keeps lane-path reports byte-identical to scalar-path reports.
-fn lane_metrics(ws: &LaneWorkspace, lane: usize, meta: GraphMeta) -> BTreeMap<String, f64> {
+fn insert_graph_meta(metrics: &mut BTreeMap<String, f64>, (n, m, max_degree): GraphMeta) {
+    metrics.insert("graph_n".to_string(), n);
+    metrics.insert("graph_m".to_string(), m);
+    metrics.insert("graph_max_degree".to_string(), max_degree);
+}
+
+/// The radio metrics of one finished lane, for the shared-graph batches
+/// and the per-trial radio arm of [`execute_task`] alike.
+fn lane_metrics(ws: &LaneWorkspace, lane: usize) -> BTreeMap<String, f64> {
     let outcome = ws.lane_outcome(lane);
     let half = ws.lane_rounds_to_reach_fraction(lane, 0.5, outcome.reachable);
     let mut metrics = BTreeMap::new();
@@ -661,10 +676,6 @@ fn lane_metrics(ws: &LaneWorkspace, lane: usize, meta: GraphMeta) -> BTreeMap<St
     if let Some(half) = half {
         metrics.insert("rounds_to_half".to_string(), half as f64);
     }
-    let (n, m, max_degree) = meta;
-    metrics.insert("graph_n".to_string(), n);
-    metrics.insert("graph_m".to_string(), m);
-    metrics.insert("graph_max_degree".to_string(), max_degree);
     metrics
 }
 
@@ -783,25 +794,14 @@ fn execute_task<G: GraphView + Sync + ?Sized>(
                 Some(reachable) => RadioSimulator::with_reachable(g, source, config, reachable),
                 None => RadioSimulator::new(g, source, config),
             };
-            let mut proto = protocol.build();
-            // Constant-size summary through the per-worker trial workspace —
-            // no n-sized allocation per trial.
-            let (outcome, half) = with_thread_workspace(|ws| {
+            // A 1-lane batch in the per-worker lane workspace — no n-sized
+            // allocation per trial.
+            let mut proto = protocol.build_lanes();
+            metrics = with_thread_lane_workspace(|ws| {
                 let _span = wx_trace::span("lab.simulate");
-                let outcome = sim.run_in(&mut proto, seed, ws);
-                (outcome, ws.rounds_to_reach_fraction(0.5, outcome.reachable))
+                run_lanes_in(&sim, &mut *proto, &[seed], ws);
+                lane_metrics(ws, 0)
             });
-            metrics.insert(
-                "completed".to_string(),
-                if outcome.completed() { 1.0 } else { 0.0 },
-            );
-            metrics.insert("reachable".to_string(), outcome.reachable as f64);
-            if let Some(rounds) = outcome.completed_at {
-                metrics.insert("rounds".to_string(), rounds as f64);
-            }
-            if let Some(half) = half {
-                metrics.insert("rounds_to_half".to_string(), half as f64);
-            }
         }
     }
     Ok(metrics)
@@ -1196,11 +1196,10 @@ mod tests {
 
     #[test]
     fn shared_radio_lane_reports_match_scalar_simulation() {
-        // A shared-graph radio scenario goes through the bit-sliced lane
-        // engine; every per-trial metric must equal what a scalar `run_in`
-        // with the same derived seed produces. 70 trials crosses a lane
+        // A shared-graph radio scenario runs in 64-lane batches; every
+        // per-trial metric must equal what the scalar reference loop
+        // produces with the same derived seed. 70 trials crosses a lane
         // batch boundary (64 + a partial batch of 6).
-        use wx_core::radio::with_thread_workspace;
         let spec = ScenarioSpec {
             name: "radio-lanes".to_string(),
             description: String::new(),
@@ -1221,14 +1220,12 @@ mod tests {
             max_rounds: 10 * g.num_vertices() + 100,
             stop_when_complete: true,
         };
-        let sim = RadioSimulator::new(&g, 3, config);
         for record in &report.per_trial {
             assert_eq!(record.seed, derive_seed(77, record.trial as u64));
             let mut proto = ProtocolKind::Decay.build();
-            let (outcome, half) = with_thread_workspace(|ws| {
-                let outcome = sim.run_in(&mut proto, derive_seed(record.seed, 1), ws);
-                (outcome, ws.rounds_to_reach_fraction(0.5, outcome.reachable))
-            });
+            let outcome =
+                crate::radio_oracle::run(&g, 3, &config, &mut proto, derive_seed(record.seed, 1));
+            let half = outcome.rounds_to_reach_fraction(0.5);
             assert_eq!(
                 record.metrics.get("rounds").copied(),
                 outcome.completed_at.map(|r| r as f64),

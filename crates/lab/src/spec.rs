@@ -23,7 +23,7 @@ use crate::source::GraphSource;
 use serde::{Deserialize, Serialize};
 use wx_core::expansion::engine::NotionKind;
 use wx_core::radio::protocols::ProtocolKind;
-use wx_core::spokesman::SolverKind;
+use wx_core::spokesman::{ExactSolver, SolverKind};
 
 /// What a scenario does with each graph instance.
 ///
@@ -132,7 +132,7 @@ impl ScenarioSpec {
     }
 
     /// Checks spec-level invariants the type system cannot (positive trial
-    /// count, sane α, nonzero set sizes).
+    /// count, sane α, nonzero set sizes, exact solves small enough to run).
     pub fn validate(&self) -> Result<()> {
         if self.name.is_empty() {
             return Err(LabError::invalid("scenario name must be non-empty"));
@@ -153,9 +153,18 @@ impl ScenarioSpec {
                     }
                 }
             }
-            Task::Spokesman { set_size, .. } => {
+            Task::Spokesman { set_size, solvers } => {
                 if *set_size == 0 {
                     return Err(LabError::invalid("spokesman set_size must be at least 1"));
+                }
+                let exact = solvers
+                    .as_ref()
+                    .is_some_and(|s| s.contains(&SolverKind::Exact));
+                if exact && *set_size > ExactSolver::MAX_LEFT {
+                    return Err(LabError::invalid(format!(
+                        "the exact solver handles a set_size of at most {}, got {set_size}",
+                        ExactSolver::MAX_LEFT
+                    )));
                 }
             }
             Task::Radio { max_rounds, .. } => {
@@ -247,6 +256,17 @@ mod tests {
         let zero_set = r#"{"name": "a", "source": {"Hypercube": {"dim": 3}},
             "task": {"Spokesman": {"set_size": 0}}}"#;
         assert!(ScenarioSpec::from_json(zero_set, "test").is_err());
+
+        // the exact solver's limit: 25 left vertices pass, 26 do not
+        let exact = |set_size: usize| {
+            let json = format!(
+                r#"{{"name": "a", "source": {{"Hypercube": {{"dim": 6}}}},
+                "task": {{"Spokesman": {{"set_size": {set_size}, "solvers": ["Exact"]}}}}}}"#
+            );
+            ScenarioSpec::from_json(&json, "test")
+        };
+        assert!(exact(25).is_ok());
+        assert!(exact(26).is_err());
     }
 
     #[test]

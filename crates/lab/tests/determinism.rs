@@ -159,12 +159,13 @@ fn spokesman_reports_match_the_golden_files() {
     }
 }
 
-/// The committed `wx radio` decay reports pin both radio engines' trials:
-/// every completion round, trajectory statistic and work counter. The
-/// Margulis graph is shared, so its 100 trials run as one full and one
-/// partial 64-lane batch whose tails take frontier-proportional rounds; the
-/// random regular source draws a graph per trial, so its trials run on the
-/// scalar engine. The CI workflow checks the same files through `wx`.
+/// The committed `wx radio` decay reports pin the radio trials: every
+/// completion round, trajectory statistic and work counter. The Margulis
+/// graph is shared, so its 100 trials run as one full and one partial
+/// 64-lane batch whose tails take frontier-proportional rounds; the random
+/// regular source draws a graph per trial, so each of its trials runs as a
+/// 1-lane batch (and records no batch-occupancy counters). The CI workflow
+/// checks the same files through `wx`.
 #[test]
 fn radio_reports_match_the_golden_files() {
     for (source, trials, file) in [

@@ -1,12 +1,13 @@
-//! Bit-sliced 64-lane trial engine: word-parallel multi-trial simulation.
+//! The radio round loop: bit-sliced, up to 64 trials per batch.
 //!
-//! The scalar engine ([`crate::RadioSimulator::run_in`]) resolves one trial
-//! at a time, vertex by vertex. Radio round resolution, however, is pure
-//! boolean algebra over informed/transmitting/collision bits — so this
-//! module packs up to 64 **independent trials** into the bit-lanes of a
-//! `u64` and resolves them word-parallel: lane `l` of every word belongs to
-//! trial `l`, and one AND/OR/ANDNOT pass over a word advances all 64 trials
-//! at once.
+//! Radio round resolution is pure boolean algebra over
+//! informed/transmitting/collision bits — so [`run_lanes_in`], the crate's
+//! only round loop, packs up to 64 **independent trials** into the
+//! bit-lanes of a `u64` and resolves them word-parallel: lane `l` of every
+//! word belongs to trial `l`, and one AND/OR/ANDNOT pass over a word
+//! advances all of them at once. A single trial is a 1-lane batch
+//! ([`crate::RadioSimulator::run_in`]); workspace buffers are sized by the
+//! batch width, so it pays for one lane, not 64.
 //!
 //! # Lane semantics
 //!
@@ -15,14 +16,14 @@
 //!   word `v` is trial `l`'s bit for vertex `v`.
 //! * Each lane runs under its own RNG stream, seeded from the caller's
 //!   per-lane seed slice (batch drivers derive these with
-//!   `derive_seed(base_seed, trial)`, the same convention as the scalar
-//!   [`crate::trials::map_trials`]) — so lane `k` of a bit-sliced run
-//!   reproduces the scalar `run_in(seed_k)` **bit for bit**: same completion
-//!   round, same per-vertex first-informed rounds, same per-round counts.
+//!   `derive_seed(base_seed, trial)`, see [`crate::trials::map_trials_lanes`])
+//!   — so lane `k` of a batch reproduces the 1-lane `run_in(seed_k)` **bit
+//!   for bit**, whatever the batch width: same completion round, same
+//!   per-vertex first-informed rounds, same per-round counts.
 //! * Lanes retire independently: when a trial completes (and the simulator
 //!   is configured to stop on completion) its bit leaves the `live` mask,
 //!   its trajectory stops growing, and its RNG stream stops being consumed —
-//!   exactly as if its scalar run had returned.
+//!   exactly as if it had run alone.
 //!
 //! # Collision kernel
 //!
@@ -64,14 +65,14 @@
 //! every lane past the rest — so every stream, and every lane, stays
 //! bit-exact against the scalar protocol. Deterministic protocols ride along
 //! for free: [`LaneMirror`] runs the scalar protocol once per round on a
-//! mirrored scalar state and broadcasts the transmitter mask to every live
-//! lane.
+//! mirror of one lane's state and broadcasts the transmitter mask to every
+//! live lane.
 
 use crate::protocols::BroadcastProtocol;
 use crate::simulator::{RadioSimulator, RoundView, TrialOutcome};
 use std::cell::RefCell;
 use wx_graph::random::{gen_bool_threshold, rng_from_seed, WxRng};
-use wx_graph::{Graph, GraphView, NeighborhoodScratch, Vertex, VertexSet};
+use wx_graph::{Graph, GraphView, Vertex, VertexSet};
 
 /// Maximum number of trials per bit-sliced batch (the lanes of a `u64`).
 pub const MAX_LANES: usize = 64;
@@ -134,9 +135,9 @@ impl<G: GraphView + ?Sized, P: LaneProtocol<G> + ?Sized> LaneProtocol<G> for Box
 
 /// Reusable lane-major state for one bit-sliced batch of up to 64 trials.
 ///
-/// Like [`crate::TrialWorkspace`], a lane workspace is tied to no particular
-/// graph — [`run_lanes_in`] grows it on demand, so one workspace serves
-/// batch after batch without reallocating. After a run it retains every
+/// A lane workspace is tied to no particular graph or batch width —
+/// [`run_lanes_in`] grows it on demand, so one workspace serves batch after
+/// batch without reallocating. After a run it retains every
 /// per-lane trajectory (per-round informed counts, per-vertex first-informed
 /// rounds) until the next run overwrites them.
 #[derive(Debug)]
@@ -162,8 +163,9 @@ pub struct LaneWorkspace {
     /// Vertices uninformed in at least one live lane, ascending; compacted
     /// once per round ([`LaneView::frontier`]).
     frontier: Vec<u32>,
-    /// `first_informed[v * 64 + l]` = round lane `l` first informed vertex
-    /// `v`, or `u32::MAX` if it never did.
+    /// `first_informed[v * lanes + l]` = round lane `l` first informed
+    /// vertex `v`, or `u32::MAX` if it never did (strided by the batch
+    /// width, so a 1-lane batch keeps one entry per vertex).
     first_informed: Vec<u32>,
     /// Per-lane informed counts.
     informed_count: [usize; MAX_LANES],
@@ -192,7 +194,7 @@ impl LaneWorkspace {
             twice: vec![0; n],
             touched: Vec::new(),
             frontier: Vec::new(),
-            first_informed: vec![u32::MAX; n * MAX_LANES],
+            first_informed: vec![u32::MAX; n],
             informed_count: [0; MAX_LANES],
             informed_per_round: (0..MAX_LANES).map(|_| Vec::new()).collect(),
             completed_at: [None; MAX_LANES],
@@ -212,10 +214,8 @@ impl LaneWorkspace {
             buf.resize(n, 0);
             buf[..n].iter_mut().for_each(|w| *w = 0);
         }
-        self.first_informed.resize(n * MAX_LANES, u32::MAX);
-        self.first_informed[..n * MAX_LANES]
-            .iter_mut()
-            .for_each(|x| *x = u32::MAX);
+        self.first_informed.clear();
+        self.first_informed.resize(n * lanes, u32::MAX);
         self.touched.clear();
         assert!(
             u32::try_from(n).is_ok(),
@@ -230,7 +230,7 @@ impl LaneWorkspace {
             self.informed_count[l] = usize::from(l < lanes);
             self.informed_per_round[l].clear();
             if l < lanes {
-                self.first_informed[source * MAX_LANES + l] = 0;
+                self.first_informed[source * lanes + l] = 0;
                 self.informed_per_round[l].push(1);
             }
             self.completed_at[l] = None;
@@ -245,10 +245,11 @@ impl LaneWorkspace {
             return;
         }
         self.informed[u] |= new_bits;
+        let row = &mut self.first_informed[u * self.lanes..(u + 1) * self.lanes];
         let mut b = new_bits;
         while b != 0 {
             let l = b.trailing_zeros() as usize;
-            self.first_informed[u * MAX_LANES + l] = round as u32;
+            row[l] = round as u32;
             self.informed_count[l] += 1;
             b &= b - 1;
         }
@@ -259,8 +260,7 @@ impl LaneWorkspace {
         self.lanes
     }
 
-    /// The constant-size summary of lane `lane`'s trial, identical to what
-    /// the scalar `run_in` would have returned for that lane's seed.
+    /// The constant-size summary of lane `lane`'s trial.
     pub fn lane_outcome(&self, lane: usize) -> TrialOutcome {
         assert!(lane < self.lanes, "lane {lane} out of range");
         TrialOutcome {
@@ -281,13 +281,13 @@ impl LaneWorkspace {
     /// if it never did.
     pub fn lane_first_informed_round(&self, lane: usize, v: Vertex) -> Option<usize> {
         assert!(lane < self.lanes, "lane {lane} out of range");
-        let r = self.first_informed[v * MAX_LANES + lane];
+        let r = self.first_informed[v * self.lanes + lane];
         (r != u32::MAX).then_some(r as usize)
     }
 
     /// The number of rounds lane `lane` needed to inform at least `fraction`
     /// of `reachable` vertices (mirrors
-    /// [`crate::TrialWorkspace::rounds_to_reach_fraction`]).
+    /// [`crate::BroadcastOutcome::rounds_to_reach_fraction`]).
     pub fn lane_rounds_to_reach_fraction(
         &self,
         lane: usize,
@@ -323,7 +323,7 @@ fn frontier_is_small(frontier: usize, max_degree: usize, n: usize) -> bool {
 /// of `protocol` on `sim`'s graph, all lanes advancing together through the
 /// word-parallel collision kernel. Results are read back per lane from `ws`
 /// ([`LaneWorkspace::lane_outcome`] and friends); lane `l` is bit-identical
-/// to the scalar `sim.run_in(_, seeds[l], _)`.
+/// to a 1-lane batch seeded with `seeds[l]`.
 ///
 /// # Panics
 /// Panics if `seeds` is empty or longer than [`MAX_LANES`].
@@ -348,10 +348,8 @@ pub fn run_lanes_in<G: GraphView + ?Sized>(
     protocol.reset(graph, source, seeds);
     let mut live = live_mask(lanes);
     let _span = wx_trace::span("radio.lanes");
-    let mut word_rounds = 0u64;
 
     for round in 0..config.max_rounds {
-        word_rounds = round as u64 + 1;
         {
             // Drop the vertices every live lane has informed by now.
             let informed = &ws.informed;
@@ -422,9 +420,9 @@ pub fn run_lanes_in<G: GraphView + ?Sized>(
         }
 
         // Per-lane bookkeeping: trajectories grow only for live lanes, and
-        // the first completion round is pinned exactly as in the scalar
-        // engine (with stop_when_complete = false lanes keep simulating but
-        // completed_at must not advance).
+        // each lane's first completion round stays pinned (with
+        // stop_when_complete = false lanes keep simulating but completed_at
+        // must not advance).
         let mut still = live;
         let mut lb = live;
         while lb != 0 {
@@ -445,41 +443,16 @@ pub fn run_lanes_in<G: GraphView + ?Sized>(
         }
     }
 
-    // Scheduling-independent work counts. Per-lane simulated rounds and
-    // final informed counts are bit-identical to the scalar engine's, so
-    // `radio.rounds_simulated`/`radio.informed_final` telemetry agrees
-    // between the two paths; the lane-occupancy pair is sliced-engine-only
-    // (`lane_rounds` is the paid word-round capacity, whose ratio against
-    // `rounds_simulated` is the batch's useful occupancy).
+    // Scheduling-independent work counts, summed over the lanes: the same
+    // totals whichever batch width the trials ran in.
     let mut rounds_total = 0u64;
     let mut informed_total = 0u64;
-    let mut completed = 0u64;
     for l in 0..lanes {
         rounds_total += (ws.informed_per_round[l].len() - 1) as u64;
         informed_total += ws.informed_count[l] as u64;
-        if ws.completed_at[l].is_some() {
-            completed += 1;
-        }
     }
     wx_trace::count(wx_trace::CounterId::RadioRoundsSimulated, rounds_total);
     wx_trace::count(wx_trace::CounterId::RadioInformedFinal, informed_total);
-    wx_trace::count(
-        wx_trace::CounterId::RadioLaneRounds,
-        word_rounds * lanes as u64,
-    );
-    wx_trace::count(wx_trace::CounterId::RadioLanesCompleted, completed);
-}
-
-/// Allocating convenience wrapper over [`run_lanes_in`]: runs one batch in a
-/// fresh workspace and returns the per-lane outcomes in lane order.
-pub fn run_lanes<G: GraphView + ?Sized>(
-    sim: &RadioSimulator<'_, G>,
-    protocol: &mut dyn LaneProtocol<G>,
-    seeds: &[u64],
-) -> Vec<TrialOutcome> {
-    let mut ws = LaneWorkspace::new(sim.graph().num_vertices());
-    run_lanes_in(sim, protocol, seeds, &mut ws);
-    (0..seeds.len()).map(|l| ws.lane_outcome(l)).collect() // wx-allow(hot-path-alloc): one-shot convenience wrapper; the hot loop is `run_lanes_in`
 }
 
 /// Transposes a 64×64 bit matrix in place: bit `j` of `a[i]` moves to bit
@@ -589,7 +562,8 @@ impl LaneDecay {
     }
 
     /// The dense round: transpose the eligibility matrix into per-lane
-    /// masks, draw every lane's decisions in bulk, transpose back.
+    /// masks, draw every lane's decisions in bulk, transpose back. A 1-lane
+    /// batch gathers and scatters bit 0 instead of transposing.
     fn dense_round<G: GraphView + ?Sized>(
         &mut self,
         view: &LaneView<'_, G>,
@@ -614,6 +588,8 @@ impl LaneDecay {
                 for l in 0..self.lanes {
                     self.lane_masks[l * tiles + t] = 0;
                 }
+            } else if self.lanes == 1 {
+                self.lane_masks[t] = tile.iter().enumerate().fold(0, |m, (j, &w)| m | w << j);
             } else {
                 transpose64(&mut tile);
                 for (l, &word) in tile.iter().enumerate().take(self.lanes) {
@@ -649,6 +625,10 @@ impl LaneDecay {
                 transmit[base..base + height]
                     .iter_mut()
                     .for_each(|w| *w = 0);
+            } else if self.lanes == 1 {
+                for (j, w) in transmit[base..base + height].iter_mut().enumerate() {
+                    *w = any >> j & 1;
+                }
             } else {
                 transpose64(&mut tile);
                 transmit[base..base + height].copy_from_slice(&tile[..height]);
@@ -842,25 +822,31 @@ impl<G: GraphView + ?Sized> LaneProtocol<G> for LaneDecay {
     }
 }
 
-/// Adapts any scalar [`BroadcastProtocol`] to the lane engine by mirroring
-/// the scalar simulation state.
+/// Adapts any [`BroadcastProtocol`] to the lane engine by mirroring one
+/// lane's state into a [`RoundView`].
 ///
 /// Deterministic protocols (flooding, round-robin, the spokesman schedule)
-/// produce the same trajectory in every lane, so the adapter runs the scalar
-/// protocol **once** per round against a mirrored informed/newly-informed
-/// state and broadcasts the resulting transmitter mask to all live lanes —
-/// 64 trials for the price of one scalar round plus O(words) broadcasting.
-/// Do not use it for randomized protocols: all lanes would replay one stream
-/// instead of running independent trials (use a native [`LaneProtocol`] like
-/// [`LaneDecay`] instead).
+/// produce the same trajectory in every lane, so the adapter runs the
+/// protocol **once** per round against a mirror of the lowest live lane's
+/// informed and newly-informed sets, and broadcasts the resulting
+/// transmitter mask to every live lane — 64 trials for the price of one
+/// protocol call plus O(words) broadcasting. The mirror does not resolve
+/// receivers itself: the vertices of the previous round's frontier that
+/// are now informed in its lane are that round's newly informed.
+///
+/// A 1-lane mirror runs any protocol, randomized ones included, on the
+/// lane's seed: that is how [`RadioSimulator::run`] runs one trial. Do not
+/// give a randomized protocol more than one lane: every lane would replay
+/// one stream instead of running an independent trial (use a native
+/// [`LaneProtocol`] like [`LaneDecay`] instead).
 pub struct LaneMirror<P> {
     inner: P,
     informed: VertexSet,
     newly: VertexSet,
-    fresh: VertexSet,
     transmitters: VertexSet,
-    scratch: NeighborhoodScratch,
     rng: WxRng,
+    /// The previous round's frontier: every vertex it could have informed.
+    frontier: Vec<u32>,
     /// Vertices whose transmit words were written last round.
     prev: Vec<usize>,
     source: Vertex,
@@ -873,10 +859,9 @@ impl<P> LaneMirror<P> {
             inner,
             informed: VertexSet::empty(0),
             newly: VertexSet::empty(0),
-            fresh: VertexSet::empty(0),
             transmitters: VertexSet::empty(0),
-            scratch: NeighborhoodScratch::new(0),
             rng: rng_from_seed(0),
+            frontier: Vec::new(),
             prev: Vec::new(),
             source: 0,
         }
@@ -894,25 +879,41 @@ impl<G: GraphView + ?Sized, P: BroadcastProtocol<G>> LaneProtocol<G> for LaneMir
         if self.informed.universe() != n {
             self.informed = VertexSet::empty(n);
             self.newly = VertexSet::empty(n);
-            self.fresh = VertexSet::empty(n);
             self.transmitters = VertexSet::empty(n);
         } else {
             self.informed.clear();
             self.newly.clear();
-            self.fresh.clear();
             self.transmitters.clear();
         }
         self.informed.insert(source);
         self.newly.insert(source);
+        self.frontier.clear();
         self.prev.clear();
-        // Deterministic protocols ignore the RNG; seed from lane 0 so even a
-        // (misused) randomized inner protocol stays reproducible.
+        // Seeded from lane 0: a 1-lane mirror runs a randomized protocol on
+        // exactly the stream its trial seed names.
         self.rng = rng_from_seed(seeds[0]);
         self.inner.reset(graph, source);
     }
 
     fn fill_transmitters(&mut self, view: &LaneView<'_, G>, transmit: &mut [u64]) {
-        // One scalar protocol invocation against the mirrored state…
+        // Catch the mirror up with the round the engine just resolved: the
+        // members of that round's frontier now informed in the lowest live
+        // lane, ascending.
+        if view.round > 0 {
+            let lane = 1u64 << view.live.trailing_zeros();
+            self.newly.clear();
+            for &u in &self.frontier {
+                let u = u as usize;
+                if view.informed[u] & lane != 0 && !self.informed.contains(u) {
+                    self.newly.insert(u);
+                }
+            }
+            self.informed.insert_sorted(self.newly.as_slice());
+        }
+        self.frontier.clear();
+        self.frontier.extend_from_slice(view.frontier);
+
+        // One protocol invocation against the mirrored state…
         self.transmitters.clear();
         let rv = RoundView {
             graph: view.graph,
@@ -924,7 +925,7 @@ impl<G: GraphView + ?Sized, P: BroadcastProtocol<G>> LaneProtocol<G> for LaneMir
         self.inner
             .transmitters_into(&rv, &mut self.rng, &mut self.transmitters);
 
-        // …broadcast to every live lane…
+        // …broadcast to every live lane.
         for &v in &self.prev {
             transmit[v] = 0;
         }
@@ -933,31 +934,18 @@ impl<G: GraphView + ?Sized, P: BroadcastProtocol<G>> LaneProtocol<G> for LaneMir
             transmit[v] = view.live;
             self.prev.push(v);
         }
-
-        // …and advance the mirror one round (the scalar engine's update).
-        let receivers = self
-            .scratch
-            .unique_neighborhood_sorted(view.graph, &self.transmitters);
-        self.fresh.clear();
-        for &v in receivers {
-            if !self.informed.contains(v) {
-                self.fresh.insert(v);
-            }
-        }
-        self.informed.insert_sorted(self.fresh.as_slice());
-        std::mem::swap(&mut self.newly, &mut self.fresh);
     }
 }
 
 thread_local! {
     /// One lane workspace per thread, shared by every batch executed on
-    /// that thread (the lane analogue of
-    /// [`crate::workspace::with_thread_workspace`]).
+    /// that thread.
     static THREAD_LANE_WORKSPACE: RefCell<LaneWorkspace> = RefCell::new(LaneWorkspace::new(0));
 }
 
 /// Runs `f` with this thread's shared [`LaneWorkspace`] — the pool behind
-/// the batched trial runner in [`crate::trials`].
+/// the batched trial runner in [`crate::trials`] and the lab runner. Also
+/// exported as `with_thread_workspace`.
 ///
 /// # Panics
 /// Panics if `f` re-enters `with_thread_lane_workspace` on the same thread.
@@ -971,11 +959,11 @@ pub fn with_thread_lane_workspace<R>(f: impl FnOnce(&mut LaneWorkspace) -> R) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
     use crate::protocols::decay::DecayProtocol;
     use crate::protocols::naive::NaiveFlooding;
     use crate::protocols::round_robin::RoundRobin;
     use crate::simulator::SimulatorConfig;
-    use crate::workspace::TrialWorkspace;
     use proptest::prelude::*;
     use wx_graph::random::derive_seed;
 
@@ -1005,22 +993,21 @@ mod tests {
         seed: u64,
         mut scalar: impl BroadcastProtocol<G>,
     ) {
-        let mut ws = TrialWorkspace::new(sim.graph().num_vertices());
-        let expect = sim.run_in(&mut scalar, seed, &mut ws);
+        let expect = oracle::run(sim.graph(), sim.source(), sim.config(), &mut scalar, seed);
         assert_eq!(
             lane_ws.lane_outcome(lane),
-            expect,
+            oracle::summary(&expect),
             "lane {lane} seed {seed}"
         );
         assert_eq!(
             lane_ws.lane_informed_per_round(lane),
-            ws.informed_per_round(),
+            expect.informed_per_round,
             "lane {lane} trajectory"
         );
         for v in 0..sim.graph().num_vertices() {
             assert_eq!(
                 lane_ws.lane_first_informed_round(lane, v),
-                ws.first_informed_round()[v],
+                expect.first_informed_round[v],
                 "lane {lane} vertex {v}"
             );
         }
@@ -1212,12 +1199,12 @@ mod tests {
         let g = Graph::from_edges(6, [(0, 1), (1, 2), (3, 4)]).unwrap();
         let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
         let seeds: Vec<u64> = (0..5).map(|t| derive_seed(2, t)).collect();
-        let outcomes = run_lanes(&sim, &mut LaneDecay::default(), &seeds);
-        for (lane, (&seed, outcome)) in seeds.iter().zip(outcomes.iter()).enumerate() {
-            assert_eq!(outcome.reachable, 3, "lane {lane}");
-            let mut ws = TrialWorkspace::new(6);
-            let expect = sim.run_in(&mut DecayProtocol::default(), seed, &mut ws);
-            assert_eq!(*outcome, expect);
+        let mut ws = LaneWorkspace::new(0);
+        run_lanes_in(&sim, &mut LaneDecay::default(), &seeds, &mut ws);
+        for (lane, &seed) in seeds.iter().enumerate() {
+            assert_eq!(ws.lane_outcome(lane).reachable, 3, "lane {lane}");
+            let expect = oracle::run(&g, 0, sim.config(), &mut DecayProtocol::default(), seed);
+            assert_eq!(ws.lane_outcome(lane), oracle::summary(&expect));
         }
     }
 
@@ -1226,9 +1213,10 @@ mod tests {
         let small = wx_constructions::families::grid_graph(3, 3).unwrap();
         let big = wx_constructions::families::random_regular_graph(70, 4, 1).unwrap();
         let mut ws = LaneWorkspace::new(0);
-        for g in [&big, &small, &big] {
+        // the first-informed stride follows the batch width, so widths vary too
+        for (g, lanes) in [(&big, 10), (&small, 64), (&big, 1), (&big, 10)] {
             let sim = RadioSimulator::new(g, 0, SimulatorConfig::default());
-            let seeds: Vec<u64> = (0..10).map(|t| derive_seed(4, t)).collect();
+            let seeds: Vec<u64> = (0..lanes).map(|t| derive_seed(4, t)).collect();
             let mut proto = LaneDecay::default();
             run_lanes_in(&sim, &mut proto, &seeds, &mut ws);
             for (lane, &seed) in seeds.iter().enumerate() {
@@ -1256,10 +1244,11 @@ mod tests {
         let g = wx_constructions::families::random_regular_graph(96, 4, 5).unwrap();
         let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
         let seeds: Vec<u64> = (0..64).map(|t| derive_seed(0xBE, t)).collect();
-        let outcomes = run_lanes(&sim, &mut LaneDecay::default(), &seeds);
-        let first = outcomes[0].completed_at;
+        let mut ws = LaneWorkspace::new(0);
+        run_lanes_in(&sim, &mut LaneDecay::default(), &seeds, &mut ws);
+        let first = ws.lane_outcome(0).completed_at;
         assert!(
-            outcomes.iter().any(|o| o.completed_at != first),
+            (1..64).any(|l| ws.lane_outcome(l).completed_at != first),
             "all 64 lanes completed at {first:?} — lane streams are not independent"
         );
     }
@@ -1270,6 +1259,11 @@ mod tests {
         let g = wx_constructions::families::grid_graph(2, 2).unwrap();
         let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
         let seeds = vec![0u64; 65];
-        run_lanes(&sim, &mut LaneDecay::default(), &seeds);
+        run_lanes_in(
+            &sim,
+            &mut LaneDecay::default(),
+            &seeds,
+            &mut LaneWorkspace::new(0),
+        );
     }
 }

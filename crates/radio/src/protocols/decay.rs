@@ -139,7 +139,8 @@ mod tests {
             newly_informed: &newly,
         };
         let mut rng = wx_graph::random::rng_from_seed(5);
-        let t = DecayProtocol::default().transmitters(&view, &mut rng);
+        let mut t = g.vertex_set([]);
+        DecayProtocol::default().transmitters_into(&view, &mut rng, &mut t);
         assert_eq!(t.to_vec(), vec![0, 1]);
     }
 
@@ -173,7 +174,8 @@ mod tests {
             phase_length: None,
             only_useful: true,
         };
-        let t = proto.transmitters(&view, &mut rng);
+        let mut t = g.vertex_set([]);
+        proto.transmitters_into(&view, &mut rng, &mut t);
         assert_eq!(t.to_vec(), vec![2]);
     }
 }

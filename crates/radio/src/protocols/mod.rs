@@ -122,24 +122,16 @@ pub trait BroadcastProtocol<G: GraphView + ?Sized = Graph> {
     ///
     /// `out` arrives empty, over the graph's vertex universe, and must end up
     /// holding a subset of `view.informed`. Taking the output buffer as a
-    /// parameter lets the simulator reuse one [`VertexSet`] from its
-    /// [`crate::TrialWorkspace`] for every round of every trial, so the
-    /// classical protocols allocate nothing per round.
+    /// parameter lets [`crate::LaneMirror`] reuse one [`VertexSet`] for every
+    /// round of every trial, so the classical protocols allocate nothing per
+    /// round.
     fn transmitters_into(&mut self, view: &RoundView<'_, G>, rng: &mut WxRng, out: &mut VertexSet);
-
-    /// Allocating convenience wrapper over
-    /// [`BroadcastProtocol::transmitters_into`] (used by tests and one-off
-    /// callers; the simulator's hot loop uses the buffer-filling form).
-    fn transmitters(&mut self, view: &RoundView<'_, G>, rng: &mut WxRng) -> VertexSet {
-        let mut out = VertexSet::empty(view.graph.num_vertices());
-        self.transmitters_into(view, rng, &mut out);
-        out
-    }
 }
 
-// A boxed protocol is a protocol, so by-name factories ([`ProtocolKind::build`])
-// compose with the generic trial runner in `crate::trials`.
-impl<G: GraphView + ?Sized, P: BroadcastProtocol<G> + ?Sized> BroadcastProtocol<G> for Box<P> {
+// A boxed or borrowed protocol is a protocol, so by-name factories
+// ([`ProtocolKind::build`]) and `&mut dyn BroadcastProtocol` arguments wrap
+// straight into `crate::LaneMirror`.
+impl<G: GraphView + ?Sized, P: BroadcastProtocol<G> + ?Sized> BroadcastProtocol<G> for &mut P {
     fn name(&self) -> &'static str {
         (**self).name()
     }
@@ -149,8 +141,17 @@ impl<G: GraphView + ?Sized, P: BroadcastProtocol<G> + ?Sized> BroadcastProtocol<
     fn transmitters_into(&mut self, view: &RoundView<'_, G>, rng: &mut WxRng, out: &mut VertexSet) {
         (**self).transmitters_into(view, rng, out);
     }
-    fn transmitters(&mut self, view: &RoundView<'_, G>, rng: &mut WxRng) -> VertexSet {
-        (**self).transmitters(view, rng)
+}
+
+impl<G: GraphView + ?Sized, P: BroadcastProtocol<G> + ?Sized> BroadcastProtocol<G> for Box<P> {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+    fn reset(&mut self, graph: &G, source: Vertex) {
+        (**self).reset(graph, source);
+    }
+    fn transmitters_into(&mut self, view: &RoundView<'_, G>, rng: &mut WxRng, out: &mut VertexSet) {
+        (**self).transmitters_into(view, rng, out);
     }
 }
 

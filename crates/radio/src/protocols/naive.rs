@@ -47,10 +47,9 @@ mod tests {
             newly_informed: &newly,
         };
         let mut rng = wx_graph::random::rng_from_seed(0);
-        assert_eq!(
-            NaiveFlooding.transmitters(&view, &mut rng).to_vec(),
-            vec![0, 1]
-        );
+        let mut t = g.vertex_set([]);
+        NaiveFlooding.transmitters_into(&view, &mut rng, &mut t);
+        assert_eq!(t.to_vec(), vec![0, 1]);
     }
 
     #[test]

@@ -78,7 +78,9 @@ mod tests {
                 informed: &informed,
                 newly_informed: &newly,
             };
-            assert!(RoundRobin::default().transmitters(&view, &mut rng).len() <= 1);
+            let mut t = g.vertex_set([]);
+            RoundRobin::default().transmitters_into(&view, &mut rng, &mut t);
+            assert!(t.len() <= 1);
         }
     }
 

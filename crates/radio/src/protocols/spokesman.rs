@@ -164,7 +164,8 @@ mod tests {
             newly_informed: &newly,
         };
         let mut rng = wx_graph::random::rng_from_seed(0);
-        let t = SpokesmanBroadcast::default().transmitters(&view, &mut rng);
+        let mut t = g.vertex_set([]);
+        SpokesmanBroadcast::default().transmitters_into(&view, &mut rng, &mut t);
         assert!(!t.is_empty());
         assert!(t.is_subset_of(&informed));
         // on C⁺ the chosen subset must be a single clique vertex ({x} or {y})

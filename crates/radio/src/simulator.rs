@@ -1,9 +1,9 @@
-//! The synchronous collision-model simulator.
+//! The simulator: a graph, a source and a round cap, run through the lane
+//! engine in [`crate::bitslice`].
 
+use crate::bitslice::{run_lanes_in, LaneMirror, LaneWorkspace};
 use crate::metrics::BroadcastOutcome;
 use crate::protocols::BroadcastProtocol;
-use crate::workspace::TrialWorkspace;
-use wx_graph::random::{rng_from_seed, WxRng};
 use wx_graph::{Graph, GraphView, Vertex, VertexSet};
 
 /// Read-only view of the simulation state handed to protocols each round.
@@ -50,9 +50,9 @@ impl Default for SimulatorConfig {
 /// Graph and source are fixed per simulator, so the completion target (the
 /// number of vertices reachable from the source) is computed **once** at
 /// construction and cached — a 10k-trial ensemble on one simulator performs
-/// one BFS, not 10k. Use [`RadioSimulator::run`] for a one-off simulation or
-/// [`RadioSimulator::run_in`] with a reused [`TrialWorkspace`] for
-/// allocation-free ensembles.
+/// one BFS, not 10k. Use [`RadioSimulator::run`] for a one-off simulation,
+/// [`RadioSimulator::run_in`] with a reused [`LaneWorkspace`] for one trial
+/// at a time, or [`run_lanes_in`] for batches of up to 64 trials.
 pub struct RadioSimulator<'a, G: GraphView + ?Sized = Graph> {
     graph: &'a G,
     source: Vertex,
@@ -114,8 +114,7 @@ impl<'a, G: GraphView + ?Sized> RadioSimulator<'a, G> {
         self.source
     }
 
-    /// The simulator configuration (round cap and stopping rule) — shared by
-    /// the scalar loop and the bit-sliced lane engine in [`crate::bitslice`].
+    /// The simulator configuration (round cap and stopping rule).
     pub fn config(&self) -> &SimulatorConfig {
         &self.config
     }
@@ -127,184 +126,61 @@ impl<'a, G: GraphView + ?Sized> RadioSimulator<'a, G> {
     /// The collision rule is applied literally: a vertex receives iff it is
     /// not itself transmitting and exactly one neighbor transmits — which is
     /// precisely the unique neighborhood `Γ¹(T)` of the transmitter set, so
-    /// this is a thin wrapper over the `wx_graph` neighborhood kernel.
-    /// [`RadioSimulator::run`] resolves receivers through a scratch it reuses
-    /// across rounds instead of calling this materializing form.
+    /// this is a thin wrapper over the `wx_graph` neighborhood kernel. The
+    /// lane engine resolves receivers word-parallel instead of calling this
+    /// materializing form.
     pub fn step(graph: &G, transmitters: &VertexSet) -> VertexSet {
         wx_graph::neighborhood::unique_neighborhood(graph, transmitters)
     }
 
     /// Runs the protocol until completion or the round cap, returning the
-    /// full outcome. `seed` drives both the protocol's randomness and nothing
+    /// full outcome. `seed` drives the protocol's randomness and nothing
     /// else (the simulator itself is deterministic).
     ///
-    /// Allocates a fresh [`TrialWorkspace`] per call; ensembles should use
-    /// [`RadioSimulator::run_in`] (or the runners in [`crate::trials`]) to
+    /// Allocates a fresh [`LaneWorkspace`] per call; ensembles should use
+    /// [`RadioSimulator::run_in`] (or the runner in [`crate::trials`]) to
     /// reuse one workspace across trials.
     pub fn run(&self, protocol: &mut dyn BroadcastProtocol<G>, seed: u64) -> BroadcastOutcome {
-        let mut ws = TrialWorkspace::new(self.graph.num_vertices());
-        let trial = self.run_in(protocol, seed, &mut ws);
-        self.outcome_from(protocol.name(), &trial, &ws)
+        let mut ws = LaneWorkspace::new(self.graph.num_vertices());
+        self.run_in(protocol, seed, &mut ws);
+        self.outcome_from(protocol.name(), &ws)
     }
 
     /// Materializes a full [`BroadcastOutcome`] (per-round trajectory plus
-    /// per-vertex first-informed rounds) from the state a
+    /// per-vertex first-informed rounds) from lane 0 of the batch a
     /// [`RadioSimulator::run_in`] call left in `ws`. `protocol_name` is the
     /// [`BroadcastProtocol::name`] of the protocol that ran.
-    pub fn outcome_from(
-        &self,
-        protocol_name: &str,
-        trial: &TrialOutcome,
-        ws: &TrialWorkspace,
-    ) -> BroadcastOutcome {
+    pub fn outcome_from(&self, protocol_name: &str, ws: &LaneWorkspace) -> BroadcastOutcome {
         let n = self.graph.num_vertices();
+        let trial = ws.lane_outcome(0);
         BroadcastOutcome {
             protocol: protocol_name.to_string(),
             num_vertices: n,
             reachable: trial.reachable,
             completed_at: trial.completed_at,
             rounds_simulated: trial.rounds_simulated,
-            informed_per_round: ws.informed_per_round().to_vec(),
-            first_informed_round: ws.first_informed_round()[..n].to_vec(),
+            informed_per_round: ws.lane_informed_per_round(0).to_vec(),
+            first_informed_round: (0..n).map(|v| ws.lane_first_informed_round(0, v)).collect(),
         }
     }
 
-    /// Runs the protocol until completion or the round cap, reusing the
-    /// buffers in `ws` — the streaming trial engine's inner loop.
-    ///
-    /// After the first call on a given graph size, subsequent calls perform
-    /// **no** n-sized allocations: the informed/newly-informed bitsets, the
-    /// transmitter buffer, the first-informed array, the per-round counts and
-    /// the receiver-resolution scratch all live in the workspace, and the
-    /// completion target comes from the BFS cached at construction. Per-trial
-    /// setup is a targeted reset proportional to the previous trial's
-    /// informed count, plus reseeding the protocol rng.
+    /// Runs the protocol until completion or the round cap as a 1-lane batch
+    /// of the lane engine ([`run_lanes_in`] through a [`LaneMirror`]),
+    /// reusing the buffers in `ws`.
     ///
     /// The returned [`TrialOutcome`] is a constant-size summary; the full
-    /// trajectory remains readable from `ws` (and can be materialized with
-    /// [`RadioSimulator::outcome_from`]) until the next run overwrites it.
+    /// trajectory remains readable from lane 0 of `ws` (and can be
+    /// materialized with [`RadioSimulator::outcome_from`]) until the next
+    /// run overwrites it.
     pub fn run_in(
         &self,
         protocol: &mut dyn BroadcastProtocol<G>,
         seed: u64,
-        ws: &mut TrialWorkspace,
+        ws: &mut LaneWorkspace,
     ) -> TrialOutcome {
-        let _span = wx_trace::span("radio.trial");
-        let n = self.graph.num_vertices();
-        let mut rng: WxRng = rng_from_seed(seed);
-        ws.reset(n, self.source);
-        let target = self.reachable;
-        let mut completed_at = None;
-
-        protocol.reset(self.graph, self.source);
-
-        for round in 0..self.config.max_rounds {
-            ws.transmitters.clear();
-            let view = RoundView {
-                graph: self.graph,
-                round,
-                source: self.source,
-                informed: &ws.informed,
-                newly_informed: &ws.newly,
-            };
-            protocol.transmitters_into(&view, &mut rng, &mut ws.transmitters);
-            debug_assert!(
-                ws.transmitters.is_subset_of(&ws.informed),
-                "protocol {} transmitted from uninformed vertices",
-                protocol.name()
-            );
-            // The newly informed are the uninformed members of `Γ¹(T)`,
-            // resolved from the smaller side: pushed from the transmitters
-            // through the scratch, or pulled by each uninformed vertex from
-            // its neighbors once those are fewer (the broadcast's tail).
-            // Either way they come in ascending order, append to `fresh`,
-            // and join `informed` in one linear merge.
-            ws.fresh.clear();
-            if n - ws.informed.len() < ws.transmitters.len() {
-                for u in uninformed(&ws.informed) {
-                    if hears_exactly_one(self.graph, u, &ws.transmitters) {
-                        ws.fresh.insert(u);
-                    }
-                }
-            } else {
-                let receivers = ws
-                    .scratch
-                    .unique_neighborhood_sorted(self.graph, &ws.transmitters);
-                for &v in receivers {
-                    if !ws.informed.contains(v) {
-                        ws.fresh.insert(v);
-                    }
-                }
-            }
-            for v in ws.fresh.iter() {
-                ws.first_informed_round[v] = Some(round + 1);
-            }
-            ws.informed.insert_sorted(ws.fresh.as_slice());
-            std::mem::swap(&mut ws.newly, &mut ws.fresh);
-            wx_trace::event_value("radio.newly_informed", ws.newly.len() as u64);
-            ws.informed_per_round.push(ws.informed.len());
-            if ws.informed.len() == target && completed_at.is_none() {
-                // record the *first* completion round; with
-                // stop_when_complete = false the simulation keeps running but
-                // the completion round must not advance with it
-                completed_at = Some(round + 1);
-                if self.config.stop_when_complete {
-                    break;
-                }
-            }
-        }
-
-        // Scheduling-independent work counts: identical values whether the
-        // trial ran here or as a bit-lane of the sliced engine.
-        let rounds_simulated = ws.informed_per_round.len() - 1;
-        wx_trace::count(
-            wx_trace::CounterId::RadioRoundsSimulated,
-            rounds_simulated as u64,
-        );
-        wx_trace::count(
-            wx_trace::CounterId::RadioInformedFinal,
-            ws.informed.len() as u64,
-        );
-        TrialOutcome {
-            reachable: target,
-            informed: ws.informed.len(),
-            completed_at,
-            rounds_simulated,
-        }
+        run_lanes_in(self, &mut LaneMirror::new(protocol), &[seed], ws);
+        ws.lane_outcome(0)
     }
-}
-
-/// The vertices outside `set`, ascending, read off its bitset words.
-fn uninformed(set: &VertexSet) -> impl Iterator<Item = Vertex> + '_ {
-    let n = set.universe();
-    set.as_words()
-        .iter()
-        .enumerate()
-        .flat_map(move |(w, &word)| {
-            let mut b = !word;
-            std::iter::from_fn(move || {
-                let v = w * 64 + b.trailing_zeros() as usize;
-                (b != 0 && v < n).then(|| {
-                    b &= b - 1;
-                    v
-                })
-            })
-        })
-}
-
-/// `true` iff exactly one neighbor of `u` is in the transmitter set `t`. An
-/// uninformed `u` is silent (transmitters are informed), so then it receives.
-fn hears_exactly_one<G: GraphView + ?Sized>(graph: &G, u: Vertex, t: &VertexSet) -> bool {
-    let mut heard = 0;
-    for v in graph.neighbors_iter(u) {
-        if t.contains(v) {
-            heard += 1;
-            if heard > 1 {
-                return false;
-            }
-        }
-    }
-    heard == 1
 }
 
 /// The number of vertices reachable from `source` in `graph` (one BFS) —
@@ -320,7 +196,8 @@ pub fn reachable_from<G: GraphView + ?Sized>(graph: &G, source: Vertex) -> usize
         .count()
 }
 
-/// Constant-size summary of one [`RadioSimulator::run_in`] trial — everything
+/// Constant-size summary of one trial ([`RadioSimulator::run_in`],
+/// [`LaneWorkspace::lane_outcome`]) — everything
 /// an online aggregator needs without materializing the n-sized trajectory
 /// vectors of [`BroadcastOutcome`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -430,16 +307,15 @@ mod tests {
     #[test]
     fn run_in_matches_run_across_reused_workspace() {
         use crate::protocols::decay::DecayProtocol;
-        use crate::workspace::TrialWorkspace;
         let g = wx_constructions::families::random_regular_graph(48, 4, 7).unwrap();
         let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
-        let mut ws = TrialWorkspace::new(0);
+        let mut ws = LaneWorkspace::new(0);
         for seed in 0..6u64 {
             let mut p1 = DecayProtocol::default();
             let mut p2 = DecayProtocol::default();
             let fresh = sim.run(&mut p1, seed);
             let trial = sim.run_in(&mut p2, seed, &mut ws);
-            let reused = sim.outcome_from(BroadcastProtocol::<Graph>::name(&p2), &trial, &ws);
+            let reused = sim.outcome_from(BroadcastProtocol::<Graph>::name(&p2), &ws);
             assert_eq!(fresh.completed_at, reused.completed_at);
             assert_eq!(fresh.rounds_simulated, reused.rounds_simulated);
             assert_eq!(fresh.informed_per_round, reused.informed_per_round);
@@ -449,8 +325,6 @@ mod tests {
                 reused.informed_per_round.last().copied().unwrap()
             );
         }
-        // the workspace never regrew past the graph size
-        assert_eq!(ws.capacity(), 48);
     }
 
     #[test]

@@ -2,77 +2,27 @@
 //!
 //! Randomized protocols (decay) and randomized instances (random relays in
 //! the broadcast chain) need many independent trials for meaningful
-//! statistics; this module farms them out over rayon with per-trial derived
-//! seeds so the ensemble is reproducible regardless of thread scheduling.
+//! statistics; [`map_trials_lanes`] farms them out over rayon in lane
+//! batches with per-trial derived seeds, so the ensemble is reproducible
+//! regardless of thread scheduling or batch width.
 //!
-//! # Streaming engine
-//!
-//! All runners share one [`RadioSimulator`] (one BFS per ensemble, cached in
-//! the constructor) and one [`TrialWorkspace`] per rayon worker (pulled from
-//! the thread-local pool of [`with_thread_workspace`]), so the per-trial
-//! work is exactly: reseed, simulate, summarize. [`map_trials`] is the
-//! streaming primitive — it hands each trial's constant-size
-//! [`TrialOutcome`] plus the workspace holding its trajectory to a caller
-//! closure and keeps only what the closure returns, so ensemble memory is
-//! O(trials · |summary|), never O(trials · n). [`run_trials`] is the
-//! compatibility wrapper that materializes full [`BroadcastOutcome`]s, and
-//! [`run_trials_stats`] aggregates completion rounds without materializing
-//! any outcome at all.
+//! All batches share one [`RadioSimulator`] (one BFS per ensemble, cached in
+//! the constructor) and one [`LaneWorkspace`] per rayon worker (pulled from
+//! the thread-local pool of [`with_thread_lane_workspace`]), so the
+//! per-batch work is exactly: reseed, simulate, summarize. Each trial is
+//! reduced to a caller-chosen summary while its trajectory is still in the
+//! workspace, so ensemble memory is O(trials · |summary|), never
+//! O(trials · n).
 
 use crate::bitslice::{
     run_lanes_in, with_thread_lane_workspace, LaneProtocol, LaneWorkspace, MAX_LANES,
 };
-use crate::metrics::{BroadcastOutcome, EnsembleStats};
-use crate::protocols::BroadcastProtocol;
-use crate::simulator::{RadioSimulator, SimulatorConfig, TrialOutcome};
-use crate::workspace::{with_thread_workspace, TrialWorkspace};
+use crate::simulator::{RadioSimulator, TrialOutcome};
 use rayon::prelude::*;
 use wx_graph::{GraphView, Vertex};
 
-/// Runs `trials` independent simulations of the protocol produced by
-/// `make_protocol` (one fresh instance per trial) on a shared simulator,
-/// reducing each trial to whatever `summarize` returns; results come back in
-/// trial order.
-///
-/// `summarize` receives the trial index, the constant-size [`TrialOutcome`],
-/// and the worker's [`TrialWorkspace`] still holding the full trajectory
-/// (per-round counts, first-informed rounds), so callers can extract exactly
-/// the statistics they need without the engine retaining any n-sized
-/// per-trial state.
-pub fn map_trials<G, P, F, T, S>(
-    sim: &RadioSimulator<'_, G>,
-    trials: usize,
-    base_seed: u64,
-    make_protocol: F,
-    summarize: S,
-) -> Vec<T>
-where
-    G: GraphView + Sync + ?Sized,
-    P: BroadcastProtocol<G>,
-    F: Fn() -> P + Sync,
-    T: Send,
-    S: Fn(usize, &TrialOutcome, &TrialWorkspace) -> T + Sync,
-{
-    (0..trials)
-        .into_par_iter()
-        .map(|t| {
-            with_thread_workspace(|ws| {
-                let mut proto = make_protocol();
-                let outcome = sim.run_in(
-                    &mut proto,
-                    wx_graph::random::derive_seed(base_seed, t as u64),
-                    ws,
-                );
-                summarize(t, &outcome, ws)
-            })
-        })
-        .collect()
-}
-
 /// One trial's view into the [`LaneWorkspace`] that ran it, handed to
-/// [`map_trials_lanes`] summarize closures — the lane analogue of the
-/// `&TrialWorkspace` argument of [`map_trials`], exposing the same
-/// per-trajectory queries.
+/// [`map_trials_lanes`] summarize closures.
 #[derive(Clone, Copy, Debug)]
 pub struct LaneTrialView<'a> {
     ws: &'a LaneWorkspace,
@@ -91,23 +41,21 @@ impl LaneTrialView<'_> {
     }
 
     /// Rounds needed to inform at least `fraction` of `reachable` vertices
-    /// (mirrors [`TrialWorkspace::rounds_to_reach_fraction`]).
+    /// (mirrors [`crate::BroadcastOutcome::rounds_to_reach_fraction`]).
     pub fn rounds_to_reach_fraction(&self, fraction: f64, reachable: usize) -> Option<usize> {
         self.ws
             .lane_rounds_to_reach_fraction(self.lane, fraction, reachable)
     }
 }
 
-/// Bit-sliced counterpart of [`map_trials`]: runs `trials` independent
-/// simulations in word-parallel batches of up to `lanes` trials each
-/// (`lanes ∈ 1..=64`), reducing each trial to whatever `summarize` returns.
+/// Runs `trials` independent simulations in word-parallel batches of up to
+/// `lanes` trials each (`lanes ∈ 1..=64`), reducing each trial to whatever
+/// `summarize` returns; results come back in trial order.
 ///
-/// Per-trial seeds are `derive_seed(base_seed, trial)` — the **same**
-/// derivation as [`map_trials`] — and every lane is bit-exact against the
-/// scalar engine, so summaries are identical to the scalar runner's: results
-/// come back in trial order and downstream aggregation (reports, stats) is
-/// byte-for-byte unchanged, only faster. Batches are farmed out over rayon
-/// with one [`LaneWorkspace`] per worker from the thread-local pool.
+/// Trial `t` runs on seed `derive_seed(base_seed, t)`, and a lane's trial
+/// does not depend on the batch it shares, so summaries are identical for
+/// every `lanes`. Batches are farmed out over rayon with one
+/// [`LaneWorkspace`] per worker from the thread-local pool.
 pub fn map_trials_lanes<G, P, F, T, S>(
     sim: &RadioSimulator<'_, G>,
     trials: usize,
@@ -154,134 +102,85 @@ where
         .collect()
 }
 
-/// Runs `trials` independent simulations of the protocol produced by
-/// `make_protocol` (one fresh instance per trial), returning the outcomes in
-/// trial order.
-///
-/// Each returned [`BroadcastOutcome`] carries its full n-sized trajectory;
-/// for large ensembles prefer [`map_trials`] (constant-size summaries) or
-/// [`run_trials_stats`] (online aggregation).
-pub fn run_trials<G, P, F>(
-    graph: &G,
-    source: Vertex,
-    config: &SimulatorConfig,
-    trials: usize,
-    base_seed: u64,
-    make_protocol: F,
-) -> Vec<BroadcastOutcome>
-where
-    G: GraphView + Sync + ?Sized,
-    P: BroadcastProtocol<G>,
-    F: Fn() -> P + Sync,
-{
-    let sim = RadioSimulator::new(graph, source, config.clone());
-    let protocol_name = make_protocol().name().to_string();
-    map_trials(&sim, trials, base_seed, &make_protocol, |_, outcome, ws| {
-        sim.outcome_from(&protocol_name, outcome, ws)
-    })
-}
-
-/// Convenience wrapper returning aggregated statistics directly.
-///
-/// Streams: only each trial's completion round is retained, so memory is
-/// O(trials) machine words regardless of graph size.
-pub fn run_trials_stats<G, P, F>(
-    graph: &G,
-    source: Vertex,
-    config: &SimulatorConfig,
-    trials: usize,
-    base_seed: u64,
-    make_protocol: F,
-) -> EnsembleStats
-where
-    G: GraphView + Sync + ?Sized,
-    P: BroadcastProtocol<G>,
-    F: Fn() -> P + Sync,
-{
-    let sim = RadioSimulator::new(graph, source, config.clone());
-    let completions = map_trials(&sim, trials, base_seed, make_protocol, |_, outcome, _| {
-        outcome.completed_at
-    });
-    EnsembleStats::from_completion_rounds(&completions)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitslice::{LaneDecay, LaneMirror};
+    use crate::oracle;
     use crate::protocols::decay::DecayProtocol;
     use crate::protocols::naive::NaiveFlooding;
+    use crate::simulator::SimulatorConfig;
 
     #[test]
     fn trials_are_reproducible() {
         let g = wx_constructions::families::random_regular_graph(64, 4, 2).unwrap();
-        let cfg = SimulatorConfig::default();
-        let a = run_trials(&g, 0, &cfg, 6, 9, DecayProtocol::default);
-        let b = run_trials(&g, 0, &cfg, 6, 9, DecayProtocol::default);
+        let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
+        let run = || {
+            map_trials_lanes(&sim, 6, 9, 4, LaneDecay::default, |_, outcome, view| {
+                (outcome.completed_at, view.informed_per_round().to_vec())
+            })
+        };
+        let (a, b) = (run(), run());
         assert_eq!(a.len(), 6);
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.completed_at, y.completed_at);
-            assert_eq!(x.informed_per_round, y.informed_per_round);
-        }
-    }
-
-    #[test]
-    fn stats_wrapper_matches_manual_aggregation() {
-        let g = wx_constructions::families::grid_graph(5, 5).unwrap();
-        let cfg = SimulatorConfig::default();
-        let outcomes = run_trials(&g, 0, &cfg, 4, 3, DecayProtocol::default);
-        let stats = run_trials_stats(&g, 0, &cfg, 4, 3, DecayProtocol::default);
-        assert_eq!(stats.trials, 4);
-        assert_eq!(
-            stats.completed,
-            outcomes.iter().filter(|o| o.completed()).count()
-        );
+        assert_eq!(a, b);
     }
 
     #[test]
     fn deterministic_protocols_give_identical_trials() {
+        // one trial per batch, so every trial is a run of its own
         let g = wx_constructions::families::complete_k_ary_tree(2, 5).unwrap();
-        let cfg = SimulatorConfig::default();
-        let outcomes = run_trials(&g, 0, &cfg, 3, 1, || NaiveFlooding);
-        let first = outcomes[0].completed_at;
-        assert!(outcomes.iter().all(|o| o.completed_at == first));
+        let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
+        let completions = map_trials_lanes(
+            &sim,
+            3,
+            1,
+            1,
+            || LaneMirror::new(NaiveFlooding),
+            |_, outcome, _| outcome.completed_at,
+        );
+        assert!(completions.iter().all(|&c| c == completions[0]));
     }
 
     #[test]
-    fn map_trials_summaries_match_full_outcomes() {
+    fn lane_summaries_match_full_outcomes() {
         let g = wx_constructions::families::random_regular_graph(64, 4, 5).unwrap();
-        let cfg = SimulatorConfig::default();
-        let sim = RadioSimulator::new(&g, 0, cfg.clone());
-        let summaries = map_trials(&sim, 5, 17, DecayProtocol::default, |t, outcome, ws| {
-            (
-                t,
-                outcome.completed_at,
-                outcome.rounds_simulated,
-                ws.rounds_to_reach_fraction(0.5, outcome.reachable),
-            )
-        });
-        let full = run_trials(&g, 0, &cfg, 5, 17, DecayProtocol::default);
+        let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
+        let summaries =
+            map_trials_lanes(&sim, 5, 17, 64, LaneDecay::default, |t, outcome, view| {
+                (
+                    t,
+                    outcome.completed_at,
+                    outcome.rounds_simulated,
+                    view.rounds_to_reach_fraction(0.5, outcome.reachable),
+                )
+            });
         assert_eq!(summaries.len(), 5);
         for (i, (t, completed_at, rounds, half)) in summaries.iter().enumerate() {
+            let seed = wx_graph::random::derive_seed(17, i as u64);
+            let full = sim.run(&mut DecayProtocol::default(), seed);
             assert_eq!(*t, i);
-            assert_eq!(*completed_at, full[i].completed_at);
-            assert_eq!(*rounds, full[i].rounds_simulated);
-            assert_eq!(*half, full[i].rounds_to_reach_fraction(0.5));
+            assert_eq!(*completed_at, full.completed_at);
+            assert_eq!(*rounds, full.rounds_simulated);
+            assert_eq!(*half, full.rounds_to_reach_fraction(0.5));
         }
     }
 
     #[test]
     fn lane_summaries_are_identical_to_scalar_summaries() {
-        use crate::bitslice::LaneDecay;
         let g = wx_constructions::families::random_regular_graph(90, 4, 11).unwrap();
         let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
-        let scalar = map_trials(&sim, 70, 23, DecayProtocol::default, |t, outcome, ws| {
-            (
-                t,
-                *outcome,
-                ws.rounds_to_reach_fraction(0.5, outcome.reachable),
-                ws.first_informed_round()[89],
-            )
-        });
+        let scalar: Vec<_> = (0..70)
+            .map(|t| {
+                let seed = wx_graph::random::derive_seed(23, t as u64);
+                let o = oracle::run(&g, 0, sim.config(), &mut DecayProtocol::default(), seed);
+                (
+                    t,
+                    oracle::summary(&o),
+                    o.rounds_to_reach_fraction(0.5),
+                    o.first_informed_round[89],
+                )
+            })
+            .collect();
         for lanes in [1usize, 8, 64] {
             let sliced = map_trials_lanes(
                 &sim,
@@ -308,7 +207,7 @@ mod tests {
         // is a field read, identical across all trials
         let g = wx_constructions::families::grid_graph(6, 6).unwrap();
         let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
-        let targets = map_trials(&sim, 8, 1, DecayProtocol::default, |_, outcome, _| {
+        let targets = map_trials_lanes(&sim, 8, 1, 3, LaneDecay::default, |_, outcome, _| {
             outcome.reachable
         });
         assert!(targets.iter().all(|&r| r == sim.reachable_count()));

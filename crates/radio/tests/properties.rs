@@ -1,13 +1,66 @@
 //! Property-based tests for the radio simulator: the collision rule and the
 //! simulation bookkeeping, pinned against their definitions on random graphs
-//! and random transmitter sets.
+//! and random transmitter sets, and whole trials pinned against the scalar
+//! reference loop in `oracle`.
+
+mod oracle;
 
 use proptest::prelude::*;
-use wx_graph::{Graph, VertexSet};
+use wx_graph::random::WxRng;
+use wx_graph::{Graph, GraphView, ImplicitGraph, SubgraphView, Vertex, VertexSet};
 use wx_radio::protocols::decay::DecayProtocol;
 use wx_radio::protocols::naive::NaiveFlooding;
 use wx_radio::protocols::round_robin::RoundRobin;
-use wx_radio::{BroadcastProtocol, RadioSimulator, SimulatorConfig};
+use wx_radio::protocols::ProtocolKind;
+use wx_radio::{BroadcastProtocol, RadioSimulator, RoundView, SimulatorConfig};
+
+/// A protocol that records the informed and newly-informed sets of every
+/// view it is handed, then lets `inner` choose.
+struct Recorder<P> {
+    inner: P,
+    views: Vec<(Vec<Vertex>, Vec<Vertex>)>,
+}
+
+impl<G: GraphView + ?Sized, P: BroadcastProtocol<G>> BroadcastProtocol<G> for Recorder<P> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn reset(&mut self, graph: &G, source: Vertex) {
+        self.inner.reset(graph, source);
+    }
+    fn transmitters_into(&mut self, view: &RoundView<'_, G>, rng: &mut WxRng, out: &mut VertexSet) {
+        let sets = (view.informed.to_vec(), view.newly_informed.to_vec());
+        self.views.push(sets);
+        self.inner.transmitters_into(view, rng, out);
+    }
+}
+
+/// `RadioSimulator::run` of a fresh `kind` from vertex 0 equals the oracle's
+/// run in every [`wx_radio::BroadcastOutcome`] field, and hands the protocol
+/// the same views round by round.
+fn run_matches_oracle<G: GraphView + ?Sized>(
+    g: &G,
+    kind: ProtocolKind,
+    config: &SimulatorConfig,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let sim = RadioSimulator::new(g, 0, config.clone());
+    let record = || Recorder {
+        inner: kind.build::<G>(),
+        views: Vec::new(),
+    };
+    let (mut on_lanes, mut on_oracle) = (record(), record());
+    let lanes = sim.run(&mut on_lanes, seed);
+    let scalar = oracle::run(g, 0, config, &mut on_oracle, seed);
+    prop_assert_eq!(lanes, scalar, "{} seed {}", kind, seed);
+    prop_assert!(
+        on_lanes.views == on_oracle.views,
+        "{} seed {}: views differ",
+        kind,
+        seed
+    );
+    Ok(())
+}
 
 fn edge_list(n: usize) -> impl Strategy<Value = Vec<(usize, usize)>> {
     prop::collection::vec((0..n, 0..n), 0..(n * 3).max(1)).prop_map(move |pairs| {
@@ -126,6 +179,31 @@ proptest! {
         let a = sim_view.run(&mut NaiveFlooding, seed);
         let b = sim_mat.run(&mut NaiveFlooding, seed);
         prop_assert_eq!(a.informed_per_round, b.informed_per_round);
+    }
+
+    /// `RadioSimulator::run` — one lane of the lane engine through
+    /// `LaneMirror`, decay included — equals the scalar oracle for every
+    /// protocol kind, on the CSR, subgraph-view and implicit backends, with
+    /// and without early stopping, down to the views the protocol sees.
+    #[test]
+    fn run_matches_the_scalar_oracle(
+        edges in edge_list(16),
+        keep_raw in prop::collection::btree_set(0usize..16, 2..12),
+        run in (8usize..40, 0u64..1_000_000),
+        flags in (0usize..4, prop::bool::ANY),
+    ) {
+        let ((n, seed), (kind, stop)) = (run, flags);
+        let kind = ProtocolKind::ALL[kind];
+        let config = SimulatorConfig {
+            max_rounds: if stop { 400 } else { 60 },
+            stop_when_complete: stop,
+        };
+        let g = Graph::from_edges(16, edges).unwrap();
+        run_matches_oracle(&g, kind, &config, seed)?;
+        let keep = VertexSet::from_iter(16, keep_raw.iter().copied());
+        run_matches_oracle(&SubgraphView::new(&g, &keep), kind, &config, seed)?;
+        let implicit = ImplicitGraph::cycle_power(n, 2).unwrap();
+        run_matches_oracle(&implicit, kind, &config, seed)?;
     }
 
     /// Backend equivalence: a full decay trial on an `ImplicitGraph` equals

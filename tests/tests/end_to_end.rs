@@ -102,11 +102,3 @@ fn graph_serde_roundtrip_preserves_structure() {
     // malformed member is rejected
     assert!(serde_json::from_str::<VertexSet>(r#"{"universe":3,"members":[5]}"#).is_err());
 }
-
-#[test]
-fn petgraph_interop_through_the_facade() {
-    let g = grid_graph(4, 4).unwrap();
-    let pg = wx_core::graph::petgraph_compat::to_petgraph(&g);
-    let back = wx_core::graph::petgraph_compat::from_petgraph(&pg);
-    assert_eq!(g, back);
-}
