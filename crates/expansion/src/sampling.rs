@@ -19,6 +19,8 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use wx_graph::random::{derive_seed, rng_from_seed};
 use wx_graph::traversal::bfs;
 use wx_graph::{GraphView, VertexSet};
@@ -107,8 +109,9 @@ pub const LARGE_N_SET_CAP: usize = 4096;
 /// (exhaustive singletons would allocate an n-bit set per vertex: O(n²)
 /// bits).
 pub const LARGE_N_SINGLETON_SAMPLES: usize = 256;
-/// Step cap for adversarial greedy growth in the large-graph regime (each
-/// step scans the whole boundary, so uncapped growth is quadratic).
+/// Step cap for adversarial greedy growth in the large-graph regime (it
+/// bounds the size of the recorded growth prefixes like
+/// [`LARGE_N_SET_CAP`] bounds the sampled sets).
 pub const LARGE_N_GROWTH_CAP: usize = 512;
 
 impl CandidateSets {
@@ -123,6 +126,17 @@ impl CandidateSets {
     /// exhaustive singleton pool would need. Graphs at or below the
     /// threshold generate exactly the historical pool.
     pub fn generate<G: GraphView + ?Sized>(g: &G, config: &SamplerConfig, seed: u64) -> Self {
+        Self::generate_with(g, config, seed, grow_greedily)
+    }
+
+    /// [`CandidateSets::generate`] with the adversarial growth routine as a
+    /// parameter, so tests can run the pool against the reference scan.
+    fn generate_with<G: GraphView + ?Sized>(
+        g: &G,
+        config: &SamplerConfig,
+        seed: u64,
+        grow: fn(&G, usize, usize, &mut Vec<VertexSet>),
+    ) -> Self {
         let n = g.num_vertices();
         let mut sets: Vec<VertexSet> = Vec::new();
         if n == 0 {
@@ -224,45 +238,11 @@ impl CandidateSets {
             }
         }
 
-        // Adversarial greedy growth: repeatedly add the boundary vertex whose
-        // inclusion minimizes the new external boundary. The marginal effect
-        // of adding `v` is computed in O(deg v): the boundary loses `v`
-        // itself and gains `v`'s neighbors that are in neither the current
-        // set nor the current boundary, so we only need to count the latter.
+        // Adversarial greedy growth from seeded start vertices.
         for t in 0..config.greedy_growths {
             let mut grow_rng = rng_from_seed(derive_seed(seed, 5000 + t as u64));
             let start = grow_rng.gen_range(0..n);
-            let mut current = VertexSet::from_iter(n, [start]);
-            let mut boundary = wx_graph::neighborhood::external_neighborhood(g, &current);
-            sets.push(current.clone());
-            while current.len() < growth_cap && !boundary.is_empty() {
-                let mut best: Option<(usize, usize)> = None;
-                for v in boundary.iter() {
-                    let fresh = g
-                        .neighbors_iter(v)
-                        .filter(|&u| !current.contains(u) && !boundary.contains(u))
-                        .count();
-                    match best {
-                        None => best = Some((v, fresh)),
-                        Some((_, bb)) if fresh < bb => best = Some((v, fresh)),
-                        _ => {}
-                    }
-                }
-                let (v, _) = best.expect("non-empty boundary");
-                current.insert(v);
-                boundary.remove(v);
-                for u in g.neighbors_iter(v) {
-                    if !current.contains(u) {
-                        boundary.insert(u);
-                    }
-                }
-                // Record prefixes at geometrically spaced sizes (plus the
-                // final set) so the candidate pool stays small even when the
-                // growth runs to thousands of vertices.
-                if current.len().is_power_of_two() || current.len() == growth_cap {
-                    sets.push(current.clone());
-                }
-            }
+            grow(g, start, growth_cap, &mut sets);
         }
 
         // Drop any accidental empties or over-cap sets, dedup by member list
@@ -286,6 +266,81 @@ impl CandidateSets {
     /// `true` if the pool is empty.
     pub fn is_empty(&self) -> bool {
         self.sets.is_empty()
+    }
+}
+
+/// Vertex states of an adversarial growth.
+const OUTSIDE: u8 = 0;
+const BOUNDARY: u8 = 1;
+const IN_SET: u8 = 2;
+
+/// Adversarial greedy growth from `start`: repeatedly moves into the set the
+/// boundary vertex whose inclusion adds the fewest vertices to the external
+/// boundary (its *fresh* neighbors, in neither the set nor the boundary),
+/// lowest index on ties, until the set has `growth_cap` vertices or no
+/// boundary. Pushes the prefixes at power-of-two sizes and the final set
+/// (geometric spacing keeps the pool small for long growths).
+///
+/// Every boundary vertex keeps its fresh count. Adding `v` moves `v`'s
+/// outside neighbors `u` onto the boundary: each `u` counts its own fresh
+/// neighbors and lowers the count of each of its boundary neighbors by one,
+/// which is exact because the view is undirected (`u` lists `x` as often as
+/// `x` lists `u`). A step therefore costs O(deg²), not a scan of the whole
+/// boundary. Counts only ever fall, so a min-heap on `(fresh, vertex)` whose
+/// entries are live while they match the vertex's current count yields the
+/// scan's pick: the least count, lowest index first.
+fn grow_greedily<G: GraphView + ?Sized>(
+    g: &G,
+    start: usize,
+    growth_cap: usize,
+    sets: &mut Vec<VertexSet>,
+) {
+    let n = g.num_vertices();
+    let mut state = vec![OUTSIDE; n];
+    let mut fresh = vec![0u32; n];
+    let mut heap: BinaryHeap<Reverse<(u32, usize)>> = BinaryHeap::new();
+    let mut boundary_len = 0usize;
+    let mut current = VertexSet::from_iter(n, [start]);
+    let mut v = start;
+    state[start] = IN_SET;
+    sets.push(current.clone());
+    loop {
+        for u in g.neighbors_iter(v) {
+            if state[u] != OUTSIDE {
+                continue;
+            }
+            for x in g.neighbors_iter(u) {
+                if x != u && state[x] == BOUNDARY {
+                    fresh[x] -= 1;
+                    heap.push(Reverse((fresh[x], x)));
+                }
+            }
+            state[u] = BOUNDARY;
+            boundary_len += 1;
+            fresh[u] = g.neighbors_iter(u).filter(|&x| state[x] == OUTSIDE).count() as u32;
+            heap.push(Reverse((fresh[u], u)));
+        }
+        // Every boundary vertex has exactly one live entry; drop the
+        // retired ones once they outnumber the live ones.
+        if heap.len() > 2 * boundary_len {
+            heap.retain(|&Reverse((f, x))| state[x] == BOUNDARY && fresh[x] == f);
+        }
+        if current.len() >= growth_cap {
+            return;
+        }
+        // The heap runs dry exactly when the boundary is empty.
+        let Some(Reverse((_, next))) = std::iter::from_fn(|| heap.pop())
+            .find(|&Reverse((f, x))| state[x] == BOUNDARY && fresh[x] == f)
+        else {
+            return;
+        };
+        v = next;
+        state[v] = IN_SET;
+        boundary_len -= 1;
+        current.insert(v);
+        if current.len().is_power_of_two() || current.len() == growth_cap {
+            sets.push(current.clone());
+        }
     }
 }
 
@@ -364,10 +419,192 @@ pub fn all_small_sets(n: usize, max_size: usize) -> Vec<VertexSet> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use wx_graph::Graph;
 
     fn cycle(n: usize) -> Graph {
         Graph::from_edges(n, (0..n).map(|i| (i, (i + 1) % n))).unwrap()
+    }
+
+    /// The adversarial growth loop before incremental fresh counts,
+    /// verbatim: every step rescans the whole boundary. The reference that
+    /// [`grow_greedily`] must reproduce pick for pick.
+    fn grow_by_scan<G: GraphView + ?Sized>(
+        g: &G,
+        start: usize,
+        growth_cap: usize,
+        sets: &mut Vec<VertexSet>,
+    ) {
+        let n = g.num_vertices();
+        let mut current = VertexSet::from_iter(n, [start]);
+        let mut boundary = wx_graph::neighborhood::external_neighborhood(g, &current);
+        sets.push(current.clone());
+        while current.len() < growth_cap && !boundary.is_empty() {
+            let mut best: Option<(usize, usize)> = None;
+            for v in boundary.iter() {
+                let fresh = g
+                    .neighbors_iter(v)
+                    .filter(|&u| !current.contains(u) && !boundary.contains(u))
+                    .count();
+                match best {
+                    None => best = Some((v, fresh)),
+                    Some((_, bb)) if fresh < bb => best = Some((v, fresh)),
+                    _ => {}
+                }
+            }
+            let (v, _) = best.expect("non-empty boundary");
+            current.insert(v);
+            boundary.remove(v);
+            for u in g.neighbors_iter(v) {
+                if !current.contains(u) {
+                    boundary.insert(u);
+                }
+            }
+            // Record prefixes at geometrically spaced sizes (plus the
+            // final set) so the candidate pool stays small even when the
+            // growth runs to thousands of vertices.
+            if current.len().is_power_of_two() || current.len() == growth_cap {
+                sets.push(current.clone());
+            }
+        }
+    }
+
+    fn members(sets: &[VertexSet]) -> Vec<Vec<usize>> {
+        sets.iter().map(|s| s.to_vec()).collect()
+    }
+
+    /// Runs both growth routines from `start` and compares every recorded
+    /// prefix.
+    fn assert_growths_agree<G: GraphView + ?Sized>(g: &G, start: usize, growth_cap: usize) {
+        let (mut fast, mut scan) = (Vec::new(), Vec::new());
+        grow_greedily(g, start, growth_cap, &mut fast);
+        grow_by_scan(g, start, growth_cap, &mut scan);
+        assert_eq!(
+            members(&fast),
+            members(&scan),
+            "growth from {start} (cap {growth_cap}) diverged"
+        );
+    }
+
+    /// Compares whole pools: [`CandidateSets::generate`] against the same
+    /// generator driven by the reference scan.
+    fn assert_pools_agree<G: GraphView + ?Sized>(g: &G, config: &SamplerConfig, seed: u64) {
+        let fast = CandidateSets::generate(g, config, seed);
+        let scan = CandidateSets::generate_with(g, config, seed, grow_by_scan);
+        assert_eq!(members(&fast.sets), members(&scan.sets), "seed {seed}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random CSR graphs — sparse ones are disconnected and have
+        /// isolated vertices — and induced views of them: every start and
+        /// every cap grows the same prefixes, and the default pool matches.
+        #[test]
+        fn incremental_growth_matches_the_scan(
+            shape in (1usize..48, 1usize..48, 0u64..1000),
+            pairs in prop::collection::vec((0usize..48, 0usize..48), 0..120),
+            keep in prop::collection::btree_set(0usize..48, 1..40),
+        ) {
+            let (n, cap, seed) = shape;
+            let edges: Vec<(usize, usize)> = pairs
+                .into_iter()
+                .map(|(u, v)| (u % n, v % n))
+                .filter(|(u, v)| u != v)
+                .collect();
+            let g = Graph::from_edges(n, edges).unwrap();
+            for start in 0..n {
+                assert_growths_agree(&g, start, cap.min(n));
+                assert_growths_agree(&g, start, n);
+            }
+            assert_pools_agree(&g, &SamplerConfig::default(), seed);
+            assert_pools_agree(&g, &SamplerConfig::light(0.3), seed);
+
+            let keep = VertexSet::from_iter(n, keep.into_iter().filter(|&v| v < n));
+            if !keep.is_empty() {
+                let view = wx_graph::SubgraphView::new(&g, &keep);
+                for start in 0..view.num_vertices() {
+                    assert_growths_agree(&view, start, view.num_vertices());
+                }
+                assert_pools_agree(&view, &SamplerConfig::default(), seed);
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_growth_matches_the_scan_on_disconnected_graphs() {
+        // two cycles of different lengths plus four isolated vertices: a
+        // growth from a cycle stops when its component is used up, one from
+        // an isolated vertex never leaves it
+        let edges = (0..7)
+            .map(|i| (i, (i + 1) % 7))
+            .chain((7..12).map(|i| (i, if i == 11 { 7 } else { i + 1 })));
+        let g = Graph::from_edges(16, edges).unwrap();
+        for start in 0..16 {
+            assert_growths_agree(&g, start, 16);
+            assert_growths_agree(&g, start, 3);
+        }
+        for seed in 0..8 {
+            assert_pools_agree(&g, &SamplerConfig::default(), seed);
+        }
+    }
+
+    #[test]
+    fn incremental_growth_matches_the_scan_on_implicit_families() {
+        use wx_graph::ImplicitGraph;
+        let graphs = [
+            ImplicitGraph::hypercube(1).unwrap(),
+            ImplicitGraph::hypercube(6).unwrap(),
+            ImplicitGraph::hypercube(9).unwrap(),
+            ImplicitGraph::cycle_power(5, 2).unwrap(),
+            ImplicitGraph::cycle_power(97, 3).unwrap(),
+            ImplicitGraph::torus(3, 3).unwrap(),
+            ImplicitGraph::torus(12, 17).unwrap(),
+        ];
+        for g in &graphs {
+            let n = g.num_vertices();
+            for start in [0, n / 3, n - 1] {
+                assert_growths_agree(g, start, n);
+                assert_growths_agree(g, start, n / 2 + 1);
+            }
+            for seed in 0..3 {
+                assert_pools_agree(g, &SamplerConfig::default(), seed);
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_growth_matches_the_scan_across_the_large_regime_boundary() {
+        // At the threshold the growth runs to ⌊α·n⌋ = 4096 vertices; one
+        // vertex past it the growth cap stops it at LARGE_N_GROWTH_CAP.
+        use wx_graph::ImplicitGraph;
+        // growth only, so the pools exercise the growth alone
+        let cfg = SamplerConfig {
+            alpha: 0.5,
+            random_sets_per_size: 0,
+            size_fractions: vec![],
+            ball_centers: 0,
+            greedy_growths: 2,
+            include_singletons: false,
+            large_graph_threshold: LARGE_N_THRESHOLD,
+        };
+        for n in [LARGE_N_THRESHOLD, LARGE_N_THRESHOLD + 1] {
+            let g = ImplicitGraph::cycle_power(n, 2).unwrap();
+            assert_pools_agree(&g, &cfg, 11);
+            let pool = CandidateSets::generate(&g, &cfg, 11);
+            let largest = pool.sets.iter().map(VertexSet::len).max().unwrap();
+            let cap = if n > LARGE_N_THRESHOLD {
+                LARGE_N_GROWTH_CAP
+            } else {
+                cfg.max_set_size(n)
+            };
+            assert_eq!(largest, cap, "n = {n}");
+        }
+        // a torus just past the threshold has a boundary of ~100 vertices
+        // per step
+        let g = ImplicitGraph::torus(91, 91).unwrap();
+        assert!(g.num_vertices() > LARGE_N_THRESHOLD);
+        assert_pools_agree(&g, &cfg, 5);
     }
 
     #[test]

@@ -101,16 +101,16 @@ fn bundled_smoke_scenario_runs_and_validates() {
     assert!(report.metrics.contains_key("value"));
 }
 
-/// Runs the spec `wx <command> --source S … --seed K` assembles for `task`
-/// and compares its report with the committed file under `tests/golden/`.
-fn assert_matches_golden(
-    command: &str,
-    source: &str,
-    task: &str,
-    trials: usize,
-    seed: u64,
-    file: &str,
-) {
+/// Compares `report` with the committed file `tests/golden/{file}`.
+fn assert_matches_golden(file: &str, report: &str) {
+    let path = format!("{}/../../tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
+    let golden = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(report, golden, "{file}");
+}
+
+/// The report of the spec `wx <command> --source S … --seed K` assembles
+/// for `task`.
+fn adhoc_report(command: &str, source: &str, task: &str, trials: usize, seed: u64) -> String {
     let spec = ScenarioSpec::from_json(
         &format!(
             r#"{{
@@ -125,13 +125,7 @@ fn assert_matches_golden(
         "golden test",
     )
     .unwrap();
-    let path = format!("{}/../../tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
-    let golden = std::fs::read_to_string(&path).unwrap();
-    assert_eq!(
-        Runner::new().run(&spec).unwrap().to_json(),
-        golden,
-        "{file}"
-    );
+    Runner::new().run(&spec).unwrap().to_json()
 }
 
 /// The committed `wx spokesman` reports under `tests/golden/` pin the
@@ -155,7 +149,7 @@ fn spokesman_reports_match_the_golden_files() {
         ),
     ] {
         let task = format!(r#"{{"Spokesman": {{"set_size": {set_size}}}}}"#);
-        assert_matches_golden("spokesman", source, &task, 1, seed, file);
+        assert_matches_golden(file, &adhoc_report("spokesman", source, &task, 1, seed));
     }
 }
 
@@ -181,6 +175,25 @@ fn radio_reports_match_the_golden_files() {
         ),
     ] {
         let task = r#"{"Radio": {"protocol": "Decay"}}"#;
-        assert_matches_golden("radio", source, task, trials, 7, file);
+        assert_matches_golden(file, &adhoc_report("radio", source, task, trials, 7));
     }
+}
+
+/// The committed `wx sweep --all --quick --seed 7` report pins every entry
+/// of the sweep: each paper experiment's text report and each demo
+/// scenario's report, work counters included. The candidate pools, the
+/// engine's parallel fan-out and every solver feed these bytes. The CI
+/// workflow checks the same file through `wx`.
+#[test]
+fn quick_sweep_matches_the_golden_file() {
+    let report = wx_lab::registry::run_sweep(
+        &[],
+        &Runner::new(),
+        wx_lab::registry::SweepOptions {
+            quick: true,
+            seed: 7,
+        },
+    )
+    .unwrap();
+    assert_matches_golden("sweep_all_quick_seed7.json", &report.to_json());
 }

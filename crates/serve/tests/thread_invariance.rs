@@ -51,3 +51,36 @@ fn reports_are_byte_identical_across_thread_counts_and_tracing() {
         );
     }
 }
+
+/// `wx sweep --all --quick` writes the same bytes at every thread count:
+/// the committed golden report, whatever order the pool's workers claim
+/// the candidate sets and trials in.
+#[test]
+fn quick_sweep_is_byte_identical_across_thread_counts() {
+    let wx = env!("CARGO_BIN_EXE_wx");
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/sweep_all_quick_seed7.json"
+    );
+    let golden = std::fs::read_to_string(golden).unwrap();
+    let dir = std::env::temp_dir().join("wx-serve-sweep-threads");
+    std::fs::create_dir_all(&dir).unwrap();
+    for threads in ["1", "4", "8"] {
+        let out = dir.join(format!("sweep-{threads}.json"));
+        let output = std::process::Command::new(wx)
+            .args(["sweep", "--all", "--quick", "--seed", "7", "--out"])
+            .arg(&out)
+            .env("RAYON_NUM_THREADS", threads)
+            .output()
+            .expect("spawning wx");
+        assert!(
+            output.status.success(),
+            "[threads={threads}] wx sweep failed: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        assert!(
+            std::fs::read_to_string(&out).unwrap() == golden,
+            "[threads={threads}] sweep report differs from the golden file"
+        );
+    }
+}
